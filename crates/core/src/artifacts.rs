@@ -87,7 +87,11 @@ impl ArtifactKey {
             h.write(v.as_bytes());
         }
         h.write(level.name().as_bytes());
-        h.write(format!("{toolchain:?}").as_bytes());
+        // The variant's `Debug` name, spelled out so keying allocates nothing.
+        h.write(match toolchain {
+            Toolchain::Cheerp => b"Cheerp".as_slice(),
+            Toolchain::Emscripten => b"Emscripten".as_slice(),
+        });
         match heap_limit {
             Some(v) => {
                 h.write(&[1]);

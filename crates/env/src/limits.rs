@@ -22,7 +22,7 @@
 /// Resource ceilings for one VM run. The default is the unlimited
 /// configuration the measurement grid uses (only the call-depth guard is
 /// finite, mirroring real engines' fixed stack reserves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceLimits {
     /// Maximum retired virtual instructions before the run traps with a
     /// fuel-exhaustion error. `None` = unlimited.

@@ -1,73 +1,6 @@
-//! Fig 11: five-number summaries (min/Q1/median/Q3/max) of the
-//! optimization-level ratios — execution time, code size and memory of
-//! JS, Wasm and x86 at `-O1`/`-Ofast`/`-Oz` relative to `-O2`.
-
-use wb_benchmarks::InputSize;
-use wb_core::report::Table;
-use wb_core::stats::five_number;
-use wb_harness::{Cli, GridEngine, Run};
-use wb_minic::OptLevel;
+//! Fig 11: five-number summaries of the `-O` level ratios
+//! ([`wb_harness::experiments::fig11`]).
 
 fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
-    let levels = [OptLevel::O1, OptLevel::O2, OptLevel::Ofast, OptLevel::Oz];
-
-    let per_bench = engine.map(cli.benchmarks(), |b| {
-        levels
-            .iter()
-            .map(|&level| {
-                let mut run = Run::new(b.clone(), InputSize::M);
-                run.level = level;
-                let w = engine.wasm(&run);
-                let j = engine.js(&run);
-                let n = engine.native(&run);
-                [
-                    j.time.0,
-                    j.code_size as f64,
-                    j.memory_bytes as f64,
-                    w.time.0,
-                    w.code_size as f64,
-                    w.memory_bytes as f64,
-                    n.time.0,
-                    n.code_size as f64,
-                ]
-            })
-            .collect::<Vec<_>>()
-    });
-
-    let mut t = Table::new(
-        "Fig 11: five-number summaries of opt-level ratios (vs -O2)",
-        &["series", "min", "q1", "median", "q3", "max"],
-    );
-    let metrics = [
-        ("JS Time", 0),
-        ("JS CS", 1),
-        ("JS Mem", 2),
-        ("WASM Time", 3),
-        ("WASM CS", 4),
-        ("WASM Mem", 5),
-        ("x86 Time", 6),
-        ("x86 CS", 7),
-    ];
-    let level_pairs = [("O1/O2", 0usize), ("Ofast/O2", 2), ("Oz/O2", 3)];
-    for (metric, mi) in metrics {
-        for (label, li) in level_pairs {
-            let ratios: Vec<f64> = per_bench
-                .iter()
-                .map(|levels| levels[li][mi] / levels[1][mi])
-                .collect();
-            let f = five_number(&ratios).expect("non-empty");
-            t.row(vec![
-                format!("{metric} {label}"),
-                format!("{:.3}", f.min),
-                format!("{:.3}", f.q1),
-                format!("{:.3}", f.median),
-                format!("{:.3}", f.q3),
-                format!("{:.3}", f.max),
-            ]);
-        }
-    }
-    cli.emit("fig11", &t);
-    engine.finish_with(&cli, "fig11");
+    wb_harness::experiments::run_bin("fig11", wb_harness::experiments::fig11);
 }

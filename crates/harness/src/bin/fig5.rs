@@ -1,103 +1,6 @@
-//! Fig 5: execution time and code size of WebAssembly and JavaScript at
-//! `-O1`, `-Ofast` and `-Oz`, relative to `-O2`, per benchmark
-//! (desktop Chrome, default = medium input).
-
-use wb_benchmarks::InputSize;
-use wb_core::report::{ratio, Table};
-use wb_harness::{Cli, GridEngine, Run};
-use wb_minic::OptLevel;
+//! Fig 5: Wasm/JS execution time and code size across `-O` levels
+//! ([`wb_harness::experiments::fig5`]).
 
 fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
-    let benchmarks = cli.benchmarks();
-    let levels = [OptLevel::O1, OptLevel::O2, OptLevel::Ofast, OptLevel::Oz];
-
-    let rows = engine.map(benchmarks, |b| {
-        let mut wasm_time = Vec::new();
-        let mut wasm_size = Vec::new();
-        let mut js_time = Vec::new();
-        let mut js_size = Vec::new();
-        for level in levels {
-            let mut run = Run::new(b.clone(), InputSize::M);
-            run.level = level;
-            let w = engine.wasm(&run);
-            wasm_time.push(w.time.0);
-            wasm_size.push(w.code_size as f64);
-            let j = engine.js(&run);
-            js_time.push(j.time.0);
-            js_size.push(j.code_size as f64);
-        }
-        (b.name, wasm_time, wasm_size, js_time, js_size)
-    });
-
-    // Relative to -O2 (index 1), like the figure's y-axis.
-    let rel = |v: &[f64], i: usize| v[i] / v[1];
-    let mut time_table = Table::new(
-        "Fig 5 (top): execution time relative to -O2 (Chrome desktop, M input)",
-        &[
-            "benchmark",
-            "wasm O1/O2",
-            "wasm Ofast/O2",
-            "wasm Oz/O2",
-            "js O1/O2",
-            "js Ofast/O2",
-            "js Oz/O2",
-        ],
-    );
-    let mut size_table = Table::new(
-        "Fig 5 (bottom): code size relative to -O2",
-        &[
-            "benchmark",
-            "wasm O1/O2",
-            "wasm Ofast/O2",
-            "wasm Oz/O2",
-            "js O1/O2",
-            "js Ofast/O2",
-            "js Oz/O2",
-        ],
-    );
-    for (name, wt, ws, jt, js) in &rows {
-        time_table.row(vec![
-            name.to_string(),
-            ratio(rel(wt, 0)),
-            ratio(rel(wt, 2)),
-            ratio(rel(wt, 3)),
-            ratio(rel(jt, 0)),
-            ratio(rel(jt, 2)),
-            ratio(rel(jt, 3)),
-        ]);
-        size_table.row(vec![
-            name.to_string(),
-            ratio(rel(ws, 0)),
-            ratio(rel(ws, 2)),
-            ratio(rel(ws, 3)),
-            ratio(rel(js, 0)),
-            ratio(rel(js, 2)),
-            ratio(rel(js, 3)),
-        ]);
-    }
-    cli.emit("fig5_time", &time_table);
-    cli.emit("fig5_code_size", &size_table);
-
-    // Per-level winner census (§4.2.1's "no silver bullet" paragraph).
-    let mut fastest = [0usize; 4];
-    for (_, wt, _, _, _) in &rows {
-        let mut best = 0;
-        for i in 1..4 {
-            if wt[i] < wt[best] {
-                best = i;
-            }
-        }
-        fastest[best] += 1;
-    }
-    let mut census = Table::new(
-        "Fastest Wasm binary per optimization level (§4.2.1)",
-        &["level", "benchmarks fastest"],
-    );
-    for (i, level) in levels.iter().enumerate() {
-        census.row(vec![level.to_string(), fastest[i].to_string()]);
-    }
-    cli.emit("fig5_fastest_census", &census);
-    engine.finish_with(&cli, "fig5");
+    wb_harness::experiments::run_bin("fig5", wb_harness::experiments::fig5);
 }

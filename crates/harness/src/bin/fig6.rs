@@ -1,52 +1,6 @@
-//! Fig 6: execution time and code size of the x86 (native control) build
-//! at `-O1`, `-Ofast` and `-Oz`, relative to `-O2`.
-
-use wb_benchmarks::InputSize;
-use wb_core::report::{ratio, Table};
-use wb_harness::{Cli, GridEngine, Run};
-use wb_minic::OptLevel;
+//! Fig 6: the x86 (native control) build across `-O` levels
+//! ([`wb_harness::experiments::fig6`]).
 
 fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
-    let levels = [OptLevel::O1, OptLevel::O2, OptLevel::Ofast, OptLevel::Oz];
-
-    let rows = engine.map(cli.benchmarks(), |b| {
-        let mut time = Vec::new();
-        let mut size = Vec::new();
-        for level in levels {
-            let mut run = Run::new(b.clone(), InputSize::M);
-            run.level = level;
-            let n = engine.native(&run);
-            time.push(n.time.0);
-            size.push(n.code_size as f64);
-        }
-        (b.name, time, size)
-    });
-
-    let mut time_table = Table::new(
-        "Fig 6 (top): x86 execution time relative to -O2",
-        &["benchmark", "O1/O2", "Ofast/O2", "Oz/O2"],
-    );
-    let mut size_table = Table::new(
-        "Fig 6 (bottom): x86 code size relative to -O2",
-        &["benchmark", "O1/O2", "Ofast/O2", "Oz/O2"],
-    );
-    for (name, t, s) in &rows {
-        time_table.row(vec![
-            name.to_string(),
-            ratio(t[0] / t[1]),
-            ratio(t[2] / t[1]),
-            ratio(t[3] / t[1]),
-        ]);
-        size_table.row(vec![
-            name.to_string(),
-            ratio(s[0] / s[1]),
-            ratio(s[2] / s[1]),
-            ratio(s[3] / s[1]),
-        ]);
-    }
-    cli.emit("fig6_time", &time_table);
-    cli.emit("fig6_code_size", &size_table);
-    engine.finish_with(&cli, "fig6");
+    wb_harness::experiments::run_bin("fig6", wb_harness::experiments::fig6);
 }

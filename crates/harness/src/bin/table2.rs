@@ -1,121 +1,6 @@
-//! Table 2: geometric means of compiler-optimization results — execution
-//! time, code size and memory of JS, Wasm and x86 at `-O1`/`-Ofast`/`-Oz`
-//! relative to `-O2`.
-
-use wb_benchmarks::InputSize;
-use wb_core::report::{ratio, Table};
-use wb_core::stats::geomean;
-use wb_harness::{Cli, GridEngine, Run};
-use wb_minic::OptLevel;
-
-struct LevelData {
-    js_time: Vec<f64>,
-    js_size: Vec<f64>,
-    js_mem: Vec<f64>,
-    wasm_time: Vec<f64>,
-    wasm_size: Vec<f64>,
-    wasm_mem: Vec<f64>,
-    x86_time: Vec<f64>,
-    x86_size: Vec<f64>,
-}
+//! Table 2: geometric means of the `-O` level ratios of JS, Wasm and x86
+//! ([`wb_harness::experiments::table2`]).
 
 fn main() {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
-    let levels = [OptLevel::O1, OptLevel::O2, OptLevel::Ofast, OptLevel::Oz];
-
-    let per_bench = engine.map(cli.benchmarks(), |b| {
-        levels
-            .iter()
-            .map(|&level| {
-                let mut run = Run::new(b.clone(), InputSize::M);
-                run.level = level;
-                let w = engine.wasm(&run);
-                let j = engine.js(&run);
-                let n = engine.native(&run);
-                (
-                    j.time.0,
-                    j.code_size as f64,
-                    j.memory_bytes as f64,
-                    w.time.0,
-                    w.code_size as f64,
-                    w.memory_bytes as f64,
-                    n.time.0,
-                    n.code_size as f64,
-                )
-            })
-            .collect::<Vec<_>>()
-    });
-
-    // Collect per-level columns.
-    let mut data: Vec<LevelData> = (0..4)
-        .map(|_| LevelData {
-            js_time: vec![],
-            js_size: vec![],
-            js_mem: vec![],
-            wasm_time: vec![],
-            wasm_size: vec![],
-            wasm_mem: vec![],
-            x86_time: vec![],
-            x86_size: vec![],
-        })
-        .collect();
-    for bench in &per_bench {
-        for (i, row) in bench.iter().enumerate() {
-            data[i].js_time.push(row.0);
-            data[i].js_size.push(row.1);
-            data[i].js_mem.push(row.2);
-            data[i].wasm_time.push(row.3);
-            data[i].wasm_size.push(row.4);
-            data[i].wasm_mem.push(row.5);
-            data[i].x86_time.push(row.6);
-            data[i].x86_size.push(row.7);
-        }
-    }
-
-    // Geomean of per-benchmark ratios level/O2 (O2 is index 1).
-    let gm_ratio = |get: fn(&LevelData) -> &Vec<f64>, level: usize| -> f64 {
-        let base = get(&data[1]);
-        let vals: Vec<f64> = get(&data[level])
-            .iter()
-            .zip(base.iter())
-            .map(|(v, b)| v / b)
-            .collect();
-        geomean(&vals).expect("positive ratios")
-    };
-
-    let mut t = Table::new(
-        "Table 2: geometric means of compiler optimization results (vs -O2)",
-        &["Metric", "Targets", "JS", "WASM", "x86"],
-    );
-    let metric_rows: [(&str, usize); 3] = [("O1/O2", 0), ("Ofast/O2", 2), ("Oz/O2", 3)];
-    for (label, idx) in metric_rows {
-        t.row(vec![
-            "Exec. Time".into(),
-            label.into(),
-            ratio(gm_ratio(|d| &d.js_time, idx)),
-            ratio(gm_ratio(|d| &d.wasm_time, idx)),
-            ratio(gm_ratio(|d| &d.x86_time, idx)),
-        ]);
-    }
-    for (label, idx) in metric_rows {
-        t.row(vec![
-            "Code Size".into(),
-            label.into(),
-            ratio(gm_ratio(|d| &d.js_size, idx)),
-            ratio(gm_ratio(|d| &d.wasm_size, idx)),
-            ratio(gm_ratio(|d| &d.x86_size, idx)),
-        ]);
-    }
-    for (label, idx) in metric_rows {
-        t.row(vec![
-            "Memory".into(),
-            label.into(),
-            ratio(gm_ratio(|d| &d.js_mem, idx)),
-            ratio(gm_ratio(|d| &d.wasm_mem, idx)),
-            "-".into(),
-        ]);
-    }
-    cli.emit("table2", &t);
-    engine.finish_with(&cli, "table2");
+    wb_harness::experiments::run_bin("table2", wb_harness::experiments::table2);
 }

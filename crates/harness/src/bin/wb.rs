@@ -1,7 +1,9 @@
-//! `wb` — the repo's front door for static verification and fault
-//! injection.
+//! `wb` — the repo's front door for regeneration, static verification
+//! and fault injection.
 //!
 //! ```text
+//! wb regen --all                   # every grid experiment, one process
+//! wb regen --quick --out results/quick fig5 fig12_13
 //! wb analyze --all                 # full corpus sweep (verify.sh gate)
 //! wb analyze --quick               # 3-kernel smoke subset
 //! wb analyze --kernels gemm,AES    # named kernels only
@@ -9,6 +11,14 @@
 //! wb inject --all                  # every fault family (verify.sh gate)
 //! wb inject --fault decode --quick # one family, reduced corpus
 //! ```
+//!
+//! `regen` runs the named grid experiments ([`wb_harness::experiments`])
+//! one after another through one shared grid engine, so a cell that
+//! several of them need is measured once, and writes the same CSVs the
+//! single-experiment binaries write. It takes the grid binaries' flags
+//! (`--filter`, `--quick`, `--out`, `--jobs`, `--retries`, `--no-cache`,
+//! `--stats`, `--reference-exec`, `--keep-going`); Fig 9 is named per
+//! browser (`fig9_chrome`, `fig9_firefox`).
 //!
 //! `analyze` runs the `wb-analysis` sweep — IR verification between
 //! every pass at every opt level, Wasm type-checking of every emitted
@@ -25,9 +35,75 @@
 
 use wb_analysis::{analyze, AnalysisConfig};
 use wb_benchmarks::InputSize;
-use wb_harness::Cli;
+use wb_harness::{experiments, Cli, GridEngine};
 
-const USAGE: &str = "usage: wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]";
+const USAGE: &str = "usage: wb regen [--all | <experiment>...] [--quick] [--filter s] [--out dir] [--jobs N] [--retries N] [--no-cache] [--stats] [--reference-exec] [--keep-going]\n       wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]";
+
+/// Print `message` and the usage, and exit with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn regen_main(args: &[String]) {
+    // Experiment names are positional, so a bare flag must never take
+    // the next argument as its value: value flags are normalized to
+    // `--key=value` before `Cli` sees them.
+    let mut flags = Vec::new();
+    let mut names = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(flag) = arg.strip_prefix("--") else {
+            names.push(arg.as_str());
+            continue;
+        };
+        let (name, inline) = match flag.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (flag, None),
+        };
+        match name {
+            "filter" | "out" | "jobs" | "retries" => {
+                let value = inline
+                    .or_else(|| args.next().map(String::as_str))
+                    .unwrap_or_else(|| usage_error(&format!("flag '--{name}' needs a value")));
+                flags.push(format!("--{name}={value}"));
+            }
+            "all" | "quick" | "no-cache" | "stats" | "reference-exec" | "keep-going"
+                if inline.is_none() =>
+            {
+                flags.push(arg.clone())
+            }
+            _ => usage_error(&format!("unknown flag '{arg}'")),
+        }
+    }
+    let cli = Cli::from_args(flags);
+    let selected: Vec<experiments::Experiment> = if cli.has("all") {
+        if !names.is_empty() {
+            usage_error("--all takes no experiment names");
+        }
+        experiments::ALL.iter().map(|&(_, e)| e).collect()
+    } else if names.is_empty() {
+        usage_error("name the experiments to run, or pass --all")
+    } else {
+        names
+            .iter()
+            .map(|&name| {
+                experiments::find(name).unwrap_or_else(|| {
+                    let known: Vec<&str> = experiments::ALL.iter().map(|(n, _)| *n).collect();
+                    usage_error(&format!(
+                        "unknown experiment '{name}' (known: {})",
+                        known.join(", ")
+                    ))
+                })
+            })
+            .collect()
+    };
+    let engine = GridEngine::from_cli(&cli);
+    for experiment in selected {
+        experiment(&cli, &engine);
+    }
+    engine.finish_with(&cli, "regen");
+}
 
 fn inject_main(args: &[String]) {
     for flag in args.iter().filter_map(|a| a.strip_prefix("--")) {
@@ -76,6 +152,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => {}
+        Some("regen") => {
+            regen_main(&args[1..]);
+            return;
+        }
         Some("inject") => {
             inject_main(&args[1..]);
             return;

@@ -23,28 +23,38 @@
 //! changes the CSV directory, `--quick` runs a reduced grid, `--jobs N`
 //! bounds the worker pool (default: `available_parallelism`),
 //! `--no-cache` disables the shared artifact cache, `--stats` prints its
-//! hit/miss summary and `--reference-exec` runs both VMs on their plain
-//! per-op interpreters instead of the fused micro-op engines (the
-//! measured numbers are bit-identical either way — this flag exists to
-//! prove exactly that). All binaries execute
-//! their grid through one [`GridEngine`], which compiles each distinct
+//! hit/miss summary next to the measurement memo's and `--reference-exec`
+//! runs both VMs on their plain per-op interpreters instead of the fused
+//! micro-op engines (the measured numbers are bit-identical either way —
+//! this flag exists to prove exactly that). All binaries execute their
+//! grid through one [`GridEngine`], which compiles each distinct
 //! `(source, defines, level, toolchain, heap)` configuration exactly
-//! once per process — measured virtual numbers are unaffected.
+//! once per process and measures each distinct cell exactly once —
+//! measured virtual numbers are unaffected.
+//!
+//! The grid binaries (everything above but `ctxswitch`, `table9`,
+//! `table10` and `table12`) are thin wrappers over [`experiments`].
+//! `wb regen [--all | names…]` runs any set of those experiments through
+//! one shared engine, so a cell that several artifacts need (Table 2 and
+//! Fig 11 re-read Fig 5 ∪ Fig 6; most artifacts include the default
+//! Chrome `-O2` cell) is measured once for all of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod inject;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use wb_benchmarks::{Benchmark, InputSize};
 use wb_core::report::Table;
 use wb_core::{
-    try_run_compiled_js_with, try_run_native_with, try_run_wasm_with, ArtifactCache, JsSpec,
-    Measurement, RunError, RunFailure, TrapKind, WasmSpec,
+    try_run_compiled_js_with, try_run_native_with, try_run_wasm_with, ArtifactCache, ArtifactKey,
+    ArtifactKind, JsSpec, Measurement, RunError, RunFailure, TrapKind, WasmSpec,
 };
 use wb_env::{Environment, JitMode, Nanos, ResourceLimits, TierPolicy, Toolchain, VirtualClock};
 use wb_minic::OptLevel;
@@ -130,12 +140,22 @@ impl Cli {
         }
     }
 
+    /// Numeric flag. A malformed value ends the process with a one-line
+    /// `error:` diagnostic and exit status 2 (a usage error, like an
+    /// unknown flag), never a panic.
+    fn number<T: std::str::FromStr>(&self, key: &str, expects: &str) -> Option<T> {
+        self.get(key).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("error: --{key} expects {expects}, got '{v}'");
+                std::process::exit(2);
+            })
+        })
+    }
+
     /// Worker-thread bound from `--jobs N`. `None` means "use
     /// [`std::thread::available_parallelism`]" (resolved at pool build).
     pub fn jobs(&self) -> Option<usize> {
-        self.get("jobs")
-            .map(|v| v.parse().expect("--jobs expects a positive integer"))
-            .filter(|&n| n > 0)
+        self.number("jobs", "a positive integer").filter(|&n| n > 0)
     }
 
     /// Whether `--reference-exec` asks for the plain per-op interpreters
@@ -154,8 +174,7 @@ impl Cli {
     /// Bounded retry count from `--retries N` (default 1). Only panics
     /// are retried — deterministic traps fail identically every time.
     pub fn retries(&self) -> u32 {
-        self.get("retries")
-            .map(|v| v.parse().expect("--retries expects a non-negative integer"))
+        self.number("retries", "a non-negative integer")
             .unwrap_or(1)
     }
 
@@ -213,7 +232,7 @@ where
 }
 
 /// [`parallel_map`] with an explicit worker bound (`--jobs N`). Workers
-/// drain the queue front-to-first (FIFO), so cells are claimed in grid
+/// drain the queue front-to-back (FIFO), so cells are claimed in grid
 /// order — the first wave of workers hits each distinct compile key
 /// early, which maximizes artifact-cache sharing for everyone behind it.
 ///
@@ -289,13 +308,21 @@ where
 
 /// The shared execution engine behind every experiment binary: one
 /// process-wide artifact cache (so identical compiles across grid cells
-/// and across worker threads happen once), a `--jobs` bound for the
-/// thread pool, and a `--stats` summary.
+/// and across worker threads happen once), a measurement memo (so
+/// identical cells are measured once), a `--jobs` bound for the thread
+/// pool, and a `--stats` summary.
 ///
 /// Flags: `--no-cache` disables artifact sharing (each cell compiles
 /// from scratch — the measured virtual numbers are bit-identical either
 /// way), `--jobs N` caps worker threads, `--stats` prints cache
-/// hit/miss/bytes-saved counters to stderr at the end.
+/// hit/miss/bytes-saved and memo hit/miss counters to stderr at the end.
+///
+/// The memo is always on and lives as long as the engine. A cell's
+/// measurement is a pure function of its `MemoKey`, so the first
+/// caller of a key measures it while later and concurrent callers of
+/// the same key wait for that result and get a clone of it. Only
+/// successful measurements are stored: a failed cell is executed again
+/// (and retried, and quarantined) every time it is asked for.
 pub struct GridEngine {
     cache: Option<&'static ArtifactCache>,
     jobs: Option<usize>,
@@ -305,6 +332,53 @@ pub struct GridEngine {
     retries: u32,
     failures: Mutex<Vec<CellFailure>>,
     quarantine: Mutex<HashSet<String>>,
+    memo: Mutex<HashMap<MemoKey, MemoSlot>>,
+    memo_hits: AtomicU64,
+    memo_misses: AtomicU64,
+}
+
+/// Everything a cell's measurement depends on: the compile artifact
+/// (source, defines, level, toolchain, heap limit and backend, hashed
+/// into its [`ArtifactKey`]) plus the run configuration its backend
+/// reads. Fields a backend ignores are left out — `None`, or `false` for
+/// native's `reference_exec` (native runs ignore the environment, tier
+/// policy, JIT mode and `reference_exec`; Wasm ignores the JIT mode;
+/// compiled JS ignores the tier policy) — so cells differing only there
+/// share one measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct MemoKey {
+    artifact: ArtifactKey,
+    env: Option<Environment>,
+    tier_policy: Option<TierPolicy>,
+    jit: Option<JitMode>,
+    limits: ResourceLimits,
+    reference_exec: bool,
+}
+
+/// One memo entry. Its lock is held while the key's first caller
+/// measures, which is what makes concurrent callers wait instead of
+/// measuring the same cell twice.
+type MemoSlot = Arc<Mutex<Option<Measurement>>>;
+
+/// Measurement-memo counters ([`GridEngine::memo_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoStats {
+    /// Cells served a stored measurement.
+    pub hits: u64,
+    /// Cells that executed (successfully or not).
+    pub misses: u64,
+}
+
+impl MemoStats {
+    /// Fraction of cells served from the memo (0 when none ran).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
 }
 
 /// One failed grid cell, as recorded on the engine's quarantine list and
@@ -335,19 +409,17 @@ fn backoff(attempt: u32) -> std::time::Duration {
 impl GridEngine {
     /// Build from CLI flags.
     pub fn from_cli(cli: &Cli) -> Self {
+        let cache = if cli.has("no-cache") {
+            None
+        } else {
+            Some(ArtifactCache::global())
+        };
         GridEngine {
-            cache: if cli.has("no-cache") {
-                None
-            } else {
-                Some(ArtifactCache::global())
-            },
-            jobs: cli.jobs(),
             stats: cli.has("stats"),
             reference_exec: cli.reference_exec(),
             keep_going: cli.keep_going(),
             retries: cli.retries(),
-            failures: Mutex::new(Vec::new()),
-            quarantine: Mutex::new(HashSet::new()),
+            ..GridEngine::with_settings(cache, cli.jobs())
         }
     }
 
@@ -363,6 +435,9 @@ impl GridEngine {
             retries: 1,
             failures: Mutex::new(Vec::new()),
             quarantine: Mutex::new(HashSet::new()),
+            memo: Mutex::new(HashMap::new()),
+            memo_hits: AtomicU64::new(0),
+            memo_misses: AtomicU64::new(0),
         }
     }
 
@@ -412,23 +487,87 @@ impl GridEngine {
         self.degrade(run, "native", self.try_native(run))
     }
 
-    /// Fallible Wasm cell: panics are caught at the cell boundary, only
+    /// Fallible Wasm cell, served from the memo when an identical cell
+    /// already measured: panics are caught at the cell boundary, only
     /// panics are retried (deterministic traps fail identically), and a
     /// cell that exhausts its attempts is quarantined.
     pub fn try_wasm(&self, run: &Run) -> Result<Measurement, RunFailure> {
         let cell = self.configured(run);
-        self.attempt(&run.label("wasm"), || cell.try_wasm_with(self.cache))
+        let key = MemoKey {
+            artifact: cell.artifact_key(ArtifactKind::Wasm),
+            env: Some(cell.env),
+            tier_policy: Some(cell.tier_policy),
+            jit: None,
+            limits: cell.limits,
+            reference_exec: cell.reference_exec,
+        };
+        self.memoized(key, run, "wasm", || cell.try_wasm_with(self.cache))
     }
 
     /// Fallible compiled-JS cell (semantics as [`GridEngine::try_wasm`]).
     pub fn try_js(&self, run: &Run) -> Result<Measurement, RunFailure> {
         let cell = self.configured(run);
-        self.attempt(&run.label("js"), || cell.try_js_with(self.cache))
+        let key = MemoKey {
+            artifact: cell.artifact_key(ArtifactKind::Js),
+            env: Some(cell.env),
+            tier_policy: None,
+            jit: Some(cell.jit),
+            limits: cell.limits,
+            reference_exec: cell.reference_exec,
+        };
+        self.memoized(key, run, "js", || cell.try_js_with(self.cache))
     }
 
     /// Fallible native cell (semantics as [`GridEngine::try_wasm`]).
     pub fn try_native(&self, run: &Run) -> Result<Measurement, RunFailure> {
-        self.attempt(&run.label("native"), || run.try_native_with(self.cache))
+        let key = MemoKey {
+            artifact: run.artifact_key(ArtifactKind::Native),
+            env: None,
+            tier_policy: None,
+            jit: None,
+            limits: run.limits,
+            reference_exec: false,
+        };
+        self.memoized(key, run, "native", || run.try_native_with(self.cache))
+    }
+
+    /// Memo hits and misses so far.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.memo_hits.load(Ordering::Relaxed),
+            misses: self.memo_misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Single-flight lookup: the key's first caller holds its slot while
+    /// [`GridEngine::attempt`] runs; everyone after it (or blocked on it)
+    /// gets a clone of the stored result. An `Err` is returned but not
+    /// stored, so the next caller executes the cell again.
+    fn memoized(
+        &self,
+        key: MemoKey,
+        run: &Run,
+        backend: &str,
+        f: impl Fn() -> Result<Measurement, RunFailure>,
+    ) -> Result<Measurement, RunFailure> {
+        let slot = Arc::clone(
+            self.memo
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .entry(key)
+                .or_default(),
+        );
+        let mut stored = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(m) = stored.as_ref() {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(m.clone());
+        }
+        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.attempt(run, backend, f);
+        if let Ok(m) = &outcome {
+            *stored = Some(m.clone());
+        }
+        outcome
     }
 
     /// A cell with the engine-wide `--reference-exec` choice applied.
@@ -446,7 +585,8 @@ impl GridEngine {
     /// identically every time, so they don't.
     fn attempt(
         &self,
-        label: &str,
+        run: &Run,
+        backend: &str,
         f: impl Fn() -> Result<Measurement, RunFailure>,
     ) -> Result<Measurement, RunFailure> {
         let mut attempts = 0u32;
@@ -471,7 +611,7 @@ impl GridEngine {
                 }
             }
         };
-        self.record_failure(label, &failure, attempts);
+        self.record_failure(&run.label(backend), &failure, attempts);
         Err(failure)
     }
 
@@ -602,6 +742,13 @@ impl GridEngine {
             }
             None => eprintln!("[cache] disabled (--no-cache)"),
         }
+        let m = self.memo_stats();
+        eprintln!(
+            "[memo] {} hits / {} misses ({:.1}% of cells served without running)",
+            m.hits,
+            m.misses,
+            100.0 * m.hit_rate()
+        );
     }
 }
 
@@ -619,6 +766,9 @@ fn zero_measurement() -> Measurement {
         context_switches: 0,
     }
 }
+
+/// Heap limit of every grid cell's Wasm build.
+const WASM_HEAP_LIMIT: Option<u64> = Some(256 << 20);
 
 /// One benchmark run request (a grid cell).
 #[derive(Debug, Clone)]
@@ -684,6 +834,26 @@ impl Run {
             .unwrap_or_else(|e| panic!("{} wasm: {e}", self.benchmark.name))
     }
 
+    /// The artifact-cache key of this cell's `kind` build, as the run
+    /// path computes it.
+    fn artifact_key(&self, kind: ArtifactKind) -> ArtifactKey {
+        let (toolchain, heap_limit) = match kind {
+            ArtifactKind::Wasm => (self.toolchain, WASM_HEAP_LIMIT),
+            ArtifactKind::Js => (self.toolchain, None),
+            // `try_run_native_with` always builds with Cheerp and a 1 GiB heap.
+            ArtifactKind::Native => (Toolchain::Cheerp, Some(1 << 30)),
+        };
+        ArtifactKey::compute(
+            kind,
+            self.benchmark.source,
+            &self.benchmark.defines(self.size),
+            self.level,
+            toolchain,
+            heap_limit,
+            false,
+        )
+    }
+
     /// Execute the Wasm build, returning the failure (with partial
     /// measurement state) instead of panicking.
     pub fn try_wasm_with(&self, cache: Option<&ArtifactCache>) -> Result<Measurement, RunFailure> {
@@ -694,7 +864,7 @@ impl Run {
             toolchain: self.toolchain,
             env: self.env,
             tier_policy: self.tier_policy,
-            heap_limit: Some(256 << 20),
+            heap_limit: WASM_HEAP_LIMIT,
             reference_exec: self.reference_exec,
             limits: self.limits,
             entry: "bench_main",

@@ -221,3 +221,82 @@ fn larger_inputs_take_longer_on_every_backend() {
     assert!(m.js().time.0 > xs.js().time.0);
     assert!(m.native().time.0 > xs.native().time.0);
 }
+
+// --- Binaries ----------------------------------------------------------------
+
+/// Run a built binary, returning (exit code, stderr).
+fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(bin)
+        .args(args)
+        .output()
+        .expect("spawn binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn malformed_numeric_flags_are_usage_errors_not_panics() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig5"), vec!["--jobs", "abc"]),
+        (env!("CARGO_BIN_EXE_fig5"), vec!["--retries", "-1"]),
+        (
+            env!("CARGO_BIN_EXE_wb"),
+            vec!["regen", "--jobs", "abc", "fig5"],
+        ),
+    ] {
+        let (code, stderr) = run_bin(bin, &args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn wb_regen_writes_what_the_single_binaries_write() {
+    let dir = std::env::temp_dir().join(format!("wb-regen-test-{}", std::process::id()));
+    let (alone, shared) = (dir.join("alone"), dir.join("shared"));
+    let filter = ["--filter", "trisolv", "--out"];
+    for (bin, out) in [("fig5", &alone), ("fig6", &alone), ("fig11", &alone)] {
+        let path = match bin {
+            "fig5" => env!("CARGO_BIN_EXE_fig5"),
+            "fig6" => env!("CARGO_BIN_EXE_fig6"),
+            _ => env!("CARGO_BIN_EXE_fig11"),
+        };
+        let mut args = filter.to_vec();
+        args.push(out.to_str().expect("utf-8 temp dir"));
+        let (code, stderr) = run_bin(path, &args);
+        assert_eq!(code, Some(0), "{bin}: {stderr}");
+    }
+    let mut args = vec!["regen", "--stats"];
+    args.extend(filter);
+    args.extend([
+        shared.to_str().expect("utf-8 temp dir"),
+        "fig5",
+        "fig6",
+        "fig11",
+    ]);
+    let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_wb"), &args);
+    assert_eq!(code, Some(0), "{stderr}");
+    // Fig 11 re-reads every Fig 5 and Fig 6 cell: 8 Wasm/JS + 4 native
+    // measured, 12 served from the memo.
+    assert!(
+        stderr.contains("[memo] 12 hits / 12 misses"),
+        "memo line missing or wrong: {stderr}"
+    );
+    for csv in ["fig5_time", "fig5_code_size", "fig6_time", "fig11"] {
+        let read = |d: &std::path::Path| std::fs::read(d.join(format!("{csv}.csv"))).expect(csv);
+        assert_eq!(read(&alone), read(&shared), "{csv}.csv differs");
+    }
+    for usage in [
+        vec!["regen"],
+        vec!["regen", "no_such_figure"],
+        vec!["regen", "--bogus"],
+    ] {
+        let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_wb"), &usage);
+        assert_eq!(code, Some(2), "{usage:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

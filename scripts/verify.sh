@@ -34,7 +34,7 @@ cargo test -q -p wb-harness --release --test trap_parity
 echo "== fault injection (wb inject) =="
 ./target/release/wb inject --all
 
-echo "== quick-grid smoke (fig5 + fig12_13, cached and uncached) =="
+echo "== quick-grid smoke (fig5 + fig12_13: cached, uncached, wb regen) =="
 ./target/release/fig5 --quick --out results/quick >/dev/null
 ./target/release/fig12_13 --quick --stats --out results/quick >/dev/null
 # The cache must not change a byte of any emitted table.
@@ -42,6 +42,8 @@ echo "== quick-grid smoke (fig5 + fig12_13, cached and uncached) =="
 # Neither may the fused engine: the plain interpreter is the goldens'
 # reference semantics.
 ./target/release/fig5 --quick --reference-exec --out results/quick >/dev/null
+# One process, one shared engine: the memo must not change a byte either.
+./target/release/wb regen --quick --out results/quick fig5 fig12_13 >/dev/null
 
 echo "== golden stability =="
 git diff --exit-code results/
