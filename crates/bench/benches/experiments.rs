@@ -49,19 +49,19 @@ fn bench_jit_configs() {
     g.run("js_jit_on_off", || {
         let mut spec = wb_core::JsSpec::new(aes.source);
         spec.defines = aes.defines(InputSize::S);
-        let on = wb_core::run_compiled_js(&spec).expect("runs");
+        let on = wb_core::try_run_compiled_js(&spec, None).expect("runs");
         spec.jit = JitMode::Disabled;
-        let off = wb_core::run_compiled_js(&spec).expect("runs");
+        let off = wb_core::try_run_compiled_js(&spec, None).expect("runs");
         off.time.0 / on.time.0
     });
     g.run("wasm_tier_policies", || {
         let mut spec = wb_core::WasmSpec::new(aes.source);
         spec.defines = aes.defines(InputSize::S);
-        let default = wb_core::run_wasm(&spec).expect("runs");
+        let default = wb_core::try_run_wasm(&spec, None).expect("runs");
         spec.tier_policy = TierPolicy::BasicOnly;
-        let basic = wb_core::run_wasm(&spec).expect("runs");
+        let basic = wb_core::try_run_wasm(&spec, None).expect("runs");
         spec.tier_policy = TierPolicy::OptimizingOnly;
-        let opt = wb_core::run_wasm(&spec).expect("runs");
+        let opt = wb_core::try_run_wasm(&spec, None).expect("runs");
         (basic.time.0 / default.time.0, opt.time.0 / default.time.0)
     });
 }
@@ -75,7 +75,7 @@ fn bench_environments() {
             let mut spec = wb_core::WasmSpec::new(durbin.source);
             spec.defines = durbin.defines(InputSize::S);
             spec.env = env;
-            total += wb_core::run_wasm(&spec).expect("runs").time.0;
+            total += wb_core::try_run_wasm(&spec, None).expect("runs").time.0;
         }
         total
     });
@@ -91,7 +91,7 @@ fn bench_manual_js() {
     let src = sha.full_source();
     Bench::group("table9").run("sha_w3c", || {
         let spec = wb_core::JsSpec::new(&src);
-        wb_core::run_manual_js(&spec).expect("runs").time
+        wb_core::try_run_manual_js(&spec).expect("runs").time
     });
 }
 
@@ -123,7 +123,7 @@ fn bench_compilers() {
         let mut spec = wb_core::WasmSpec::new(bench.source);
         spec.defines = bench.defines(InputSize::XS);
         spec.toolchain = wb_env::Toolchain::Emscripten;
-        let emscripten = wb_core::run_wasm(&spec).expect("runs");
+        let emscripten = wb_core::try_run_wasm(&spec, None).expect("runs");
         black_box(cheerp.time.0 / emscripten.time.0)
     });
 }

@@ -22,7 +22,8 @@
 pub mod timing;
 
 use wb_benchmarks::{Benchmark, InputSize};
-use wb_core::{run_compiled_js, run_native, run_wasm, JsSpec, Measurement, WasmSpec};
+use wb_core::{try_run_compiled_js, try_run_native, try_run_wasm, JsSpec, Measurement, WasmSpec};
+use wb_env::ResourceLimits;
 use wb_minic::OptLevel;
 
 /// A small representative slice of the corpus (one per category family),
@@ -47,7 +48,7 @@ pub fn wasm_once(b: &Benchmark, size: InputSize, level: OptLevel) -> Measurement
     let mut spec = WasmSpec::new(b.source);
     spec.defines = b.defines(size);
     spec.level = level;
-    run_wasm(&spec).expect("bench wasm run")
+    try_run_wasm(&spec, None).expect("bench wasm run")
 }
 
 /// Run one benchmark's JS build at a size/level (bench helper).
@@ -55,12 +56,13 @@ pub fn js_once(b: &Benchmark, size: InputSize, level: OptLevel) -> Measurement {
     let mut spec = JsSpec::new(b.source);
     spec.defines = b.defines(size);
     spec.level = level;
-    run_compiled_js(&spec).expect("bench js run")
+    try_run_compiled_js(&spec, None).expect("bench js run")
 }
 
 /// Run one benchmark's native build at a size/level (bench helper).
 pub fn native_once(b: &Benchmark, size: InputSize, level: OptLevel) -> Measurement {
-    run_native(b.source, &b.defines(size), level, "bench_main").expect("bench native run")
+    let (defines, limits) = (b.defines(size), ResourceLimits::default());
+    try_run_native(b.source, &defines, level, "bench_main", limits, None).expect("bench native run")
 }
 
 #[cfg(test)]

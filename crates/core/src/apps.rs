@@ -2,12 +2,12 @@
 //! and the §4.5 JS↔Wasm context-switch microbenchmark.
 
 use crate::host::standard_imports;
-use crate::measure::{reported_wasm_memory, Measurement, RunError};
+use crate::measure::{try_run_manual_js, try_run_wasm, JsSpec, Measurement, RunError, WasmSpec};
 use std::collections::HashMap;
 use wb_benchmarks::apps::{ffmpeg, hyphen, longjs};
-use wb_env::{calibration, Environment, JitMode, Nanos, TierPolicy, Toolchain, VirtualClock};
+use wb_env::{calibration, Environment, Nanos, Toolchain, VirtualClock};
 use wb_jsvm::{JsValue, JsVm, JsVmConfig};
-use wb_minic::{Compiler, OptLevel};
+use wb_minic::Compiler;
 use wb_wasm_vm::{Instance, Value, WasmVmConfig};
 
 /// Per-worker spawn + marshalling overhead in the WebWorker pool model
@@ -42,19 +42,9 @@ pub fn longjs_wasm(op: longjs::LongOp, env: Environment) -> Result<Measurement, 
             acc |= lo;
         }
     }
-    let report = inst.report();
-    let mut output = inst.output.clone();
-    output.push(acc.to_string());
-    Ok(Measurement {
-        time: report.total,
-        clock: report.clock.clone(),
-        memory_bytes: reported_wasm_memory(env, report.memory.linear_bytes),
-        code_size: bytes.len() as u64,
-        counts: report.counts,
-        arith: report.arith,
-        output,
-        context_switches: report.context_switches,
-    })
+    let mut m = Measurement::of_wasm(&inst, env, bytes.len());
+    m.output.push(acc.to_string());
+    Ok(m)
 }
 
 /// Run one Long.js operation on the JS implementation (16-bit limb
@@ -72,61 +62,33 @@ pub fn longjs_js(op: longjs::LongOp, env: Environment) -> Result<Measurement, Ru
             JsValue::Num(b as f64),
         ],
     )?;
-    let report = vm.report();
-    let mut output = vm.output.clone();
+    let mut m = Measurement::of_js(&vm, env, longjs::JS_SOURCE.len());
     if let JsValue::Num(v) = r {
-        output.push(format!("{}", v as i64));
+        m.output.push(format!("{}", v as i64));
     }
-    Ok(Measurement {
-        time: report.total,
-        clock: report.clock.clone(),
-        memory_bytes: profile.js.baseline_memory_bytes + report.heap.peak_live_bytes,
-        code_size: longjs::JS_SOURCE.len() as u64,
-        counts: report.counts,
-        arith: report.arith,
-        output,
-        context_switches: 0,
-    })
+    Ok(m)
 }
 
 /// Hyphenopoly, Wasm build (MiniC → Cheerp-profile Wasm).
 pub fn hyphen_wasm(lang: hyphen::Lang, env: Environment) -> Result<Measurement, RunError> {
-    let spec = crate::measure::WasmSpec {
-        source: hyphen::C_SOURCE,
-        defines: vec![
-            ("TEXTLEN".into(), hyphen::TEXT_BYTES.to_string()),
-            ("LANG".into(), lang.define().to_string()),
-        ],
-        level: OptLevel::O2,
-        toolchain: Toolchain::Cheerp,
-        env,
-        tier_policy: TierPolicy::Default,
-        heap_limit: Some(256 << 20),
-        reference_exec: false,
-        limits: wb_env::ResourceLimits::default(),
-        entry: "bench_main",
-    };
-    crate::measure::run_wasm(&spec)
+    let mut spec = WasmSpec::new(hyphen::C_SOURCE);
+    spec.defines = vec![
+        ("TEXTLEN".into(), hyphen::TEXT_BYTES.to_string()),
+        ("LANG".into(), lang.define().to_string()),
+    ];
+    spec.env = env;
+    try_run_wasm(&spec, None).map_err(|f| f.error)
 }
 
 /// Hyphenopoly, hand-written JS build.
 pub fn hyphen_js(lang: hyphen::Lang, env: Environment) -> Result<Measurement, RunError> {
-    let spec = crate::measure::JsSpec {
-        source: hyphen::JS_SOURCE,
-        defines: vec![],
-        level: OptLevel::O2,
-        toolchain: Toolchain::Cheerp,
-        env,
-        jit: JitMode::Enabled,
-        reference_exec: false,
-        limits: wb_env::ResourceLimits::default(),
-        trap_checks: false,
-        entry: match lang {
-            hyphen::Lang::EnUs => "bench_main",
-            hyphen::Lang::Fr => "bench_fr",
-        },
+    let mut spec = JsSpec::new(hyphen::JS_SOURCE);
+    spec.env = env;
+    spec.entry = match lang {
+        hyphen::Lang::EnUs => "bench_main",
+        hyphen::Lang::Fr => "bench_fr",
     };
-    crate::measure::run_manual_js(&spec)
+    try_run_manual_js(&spec).map_err(|f| f.error)
 }
 
 /// FFmpeg analogue, Wasm build: the stream is striped across
@@ -154,14 +116,14 @@ pub fn ffmpeg_wasm(env: Environment) -> Result<Measurement, RunError> {
         config.exec_overhead = calibration::toolchain_exec_overhead(Toolchain::Cheerp);
         let mut inst = Instance::instantiate(&bytes, config, standard_imports(out.strings))?;
         inst.invoke("bench_main", &[])?;
-        let report = inst.report();
-        worker_times.push(report.total);
-        output.extend(inst.output.clone());
-        total_counts = total_counts.merged(&report.counts);
-        arith = merge_arith(arith, report.arith);
-        memory += reported_wasm_memory(env, report.memory.linear_bytes);
-        code_size = bytes.len() as u64;
-        switches += report.context_switches;
+        let worker = Measurement::of_wasm(&inst, env, bytes.len());
+        worker_times.push(worker.time);
+        output.extend(worker.output);
+        total_counts = total_counts.merged(&worker.counts);
+        arith = merge_arith(arith, worker.arith);
+        memory += worker.memory_bytes;
+        code_size = worker.code_size;
+        switches += worker.context_switches;
     }
     let max_worker = worker_times
         .iter()
@@ -184,19 +146,9 @@ pub fn ffmpeg_wasm(env: Environment) -> Result<Measurement, RunError> {
 /// FFmpeg analogue, JS build: single-threaded (node-ffmpeg has no
 /// parallelization).
 pub fn ffmpeg_js(env: Environment) -> Result<Measurement, RunError> {
-    let spec = crate::measure::JsSpec {
-        source: ffmpeg::JS_SOURCE,
-        defines: vec![],
-        level: OptLevel::O2,
-        toolchain: Toolchain::Cheerp,
-        env,
-        jit: JitMode::Enabled,
-        reference_exec: false,
-        limits: wb_env::ResourceLimits::default(),
-        trap_checks: false,
-        entry: "bench_main",
-    };
-    crate::measure::run_manual_js(&spec)
+    let mut spec = JsSpec::new(ffmpeg::JS_SOURCE);
+    spec.env = env;
+    try_run_manual_js(&spec).map_err(|f| f.error)
 }
 
 fn merge_arith(a: wb_env::ArithCounts, b: wb_env::ArithCounts) -> wb_env::ArithCounts {

@@ -4,8 +4,8 @@
 //!
 //! 1. **Source-code transformation** — performed inside `wb-minic`'s
 //!    frontend (§3.1);
-//! 2. **Compilation to Wasm/JS** — [`measure::run_wasm`] /
-//!    [`measure::run_compiled_js`] drive the Cheerp/Emscripten profiles
+//! 2. **Compilation to Wasm/JS** — [`measure::try_run_wasm`] /
+//!    [`measure::try_run_compiled_js`] drive the Cheerp/Emscripten profiles
 //!    at any `-O` level with dataset `-D` defines (§3.2);
 //! 3. **Deployment instrumentation** — the simulated page loads the
 //!    artifact, instantiates it, and brackets execution with
@@ -33,7 +33,6 @@ pub mod stats;
 
 pub use artifacts::{ArtifactCache, ArtifactKey, ArtifactKind, CacheStats};
 pub use measure::{
-    run_compiled_js, run_compiled_js_with, run_manual_js, run_native, run_native_with, run_wasm,
-    run_wasm_with, try_run_compiled_js_with, try_run_manual_js, try_run_native_with,
-    try_run_wasm_with, JsSpec, Measurement, RunError, RunFailure, TrapKind, WasmSpec,
+    native_artifact_key, try_run_compiled_js, try_run_manual_js, try_run_native, try_run_wasm,
+    JsSpec, Measurement, RunError, RunFailure, TrapKind, WasmSpec,
 };

@@ -274,13 +274,28 @@ impl<'a> WasmSpec<'a> {
             entry: "bench_main",
         }
     }
+
+    /// The artifact-cache key of this spec's build: its compile inputs
+    /// (source, defines, level, toolchain, heap limit), none of its run
+    /// settings.
+    pub fn artifact_key(&self) -> ArtifactKey {
+        ArtifactKey::compute(
+            ArtifactKind::Wasm,
+            self.source,
+            &self.defines,
+            self.level,
+            self.toolchain,
+            self.heap_limit,
+            false,
+        )
+    }
 }
 
 /// Configuration of a JS run.
 #[derive(Debug, Clone)]
 pub struct JsSpec<'a> {
-    /// MiniC source (for [`run_compiled_js`]) or MiniJS source (for
-    /// [`run_manual_js`]).
+    /// MiniC source (for [`try_run_compiled_js`]) or MiniJS source (for
+    /// [`try_run_manual_js`]).
     pub source: &'a str,
     /// Dataset defines (compiled runs only).
     pub defines: Vec<(String, String)>,
@@ -324,6 +339,42 @@ impl<'a> JsSpec<'a> {
             entry: "bench_main",
         }
     }
+
+    /// The artifact-cache key of this spec's compiled-JS build: its
+    /// compile inputs (source, defines, level, toolchain, trap checks),
+    /// none of its run settings.
+    pub fn artifact_key(&self) -> ArtifactKey {
+        ArtifactKey::compute(
+            ArtifactKind::Js,
+            self.source,
+            &self.defines,
+            self.level,
+            self.toolchain,
+            None,
+            self.trap_checks,
+        )
+    }
+}
+
+/// Every native build uses the Cheerp front end with a 1 GiB heap.
+const NATIVE_TOOLCHAIN: Toolchain = Toolchain::Cheerp;
+const NATIVE_HEAP_LIMIT: Option<u64> = Some(1 << 30);
+
+/// The artifact-cache key of a native (x86 control) build.
+pub fn native_artifact_key(
+    source: &str,
+    defines: &[(String, String)],
+    level: OptLevel,
+) -> ArtifactKey {
+    ArtifactKey::compute(
+        ArtifactKind::Native,
+        source,
+        defines,
+        level,
+        NATIVE_TOOLCHAIN,
+        NATIVE_HEAP_LIMIT,
+        false,
+    )
 }
 
 fn compiler_for(
@@ -381,41 +432,67 @@ fn wasm_artifact(
         })
     };
     match cache {
-        Some(cache) => {
-            let key = ArtifactKey::compute(
-                ArtifactKind::Wasm,
-                spec.source,
-                &spec.defines,
-                spec.level,
-                spec.toolchain,
-                spec.heap_limit,
-                false,
-            );
-            cache.wasm(key, build)
-        }
+        Some(cache) => cache.wasm(spec.artifact_key(), build),
         None => build().map(Arc::new),
     }
 }
 
-/// Run a compiled-to-Wasm benchmark end to end.
-pub fn run_wasm(spec: &WasmSpec<'_>) -> Result<Measurement, RunError> {
-    run_wasm_with(spec, None)
+impl Measurement {
+    /// What a Wasm instance has measured so far, reported in `env` for
+    /// an artifact of `code_size` bytes.
+    pub(crate) fn of_wasm(inst: &Instance, env: Environment, code_size: usize) -> Measurement {
+        let report = inst.report();
+        Measurement {
+            time: report.total,
+            clock: report.clock,
+            memory_bytes: reported_wasm_memory(env, report.memory.linear_bytes),
+            code_size: code_size as u64,
+            counts: report.counts,
+            arith: report.arith,
+            output: inst.output.clone(),
+            context_switches: report.context_switches,
+        }
+    }
+
+    /// What a JS engine has measured so far, reported in `env` for a
+    /// script of `code_size` bytes.
+    pub(crate) fn of_js(vm: &JsVm, env: Environment, code_size: usize) -> Measurement {
+        let report = vm.report();
+        Measurement {
+            time: report.total,
+            clock: report.clock,
+            memory_bytes: env.profile().js.baseline_memory_bytes + report.heap.peak_live_bytes,
+            code_size: code_size as u64,
+            counts: report.counts,
+            arith: report.arith,
+            output: vm.output.clone(),
+            context_switches: 0,
+        }
+    }
 }
 
-/// [`run_wasm`], optionally sharing compile artifacts through `cache`.
-/// Caching skips real decode/validate/side-table work but replays the
-/// same *virtual* load/compile charges, so the Measurement is
-/// bit-identical either way.
-pub fn run_wasm_with(
-    spec: &WasmSpec<'_>,
-    cache: Option<&ArtifactCache>,
-) -> Result<Measurement, RunError> {
-    try_run_wasm_with(spec, cache).map_err(|f| f.error)
+/// A finished run's measurement, or its fault with that measurement as
+/// the partial state.
+fn settle<T>(
+    run: Result<T, impl Into<RunError>>,
+    measurement: Measurement,
+) -> Result<Measurement, RunFailure> {
+    match run {
+        Ok(_) => Ok(measurement),
+        Err(e) => Err(RunFailure {
+            error: e.into(),
+            partial: Some(Box::new(measurement)),
+        }),
+    }
 }
 
-/// [`run_wasm_with`], but a failed run also reports the measurement
-/// state at the point of failure (see [`RunFailure`]).
-pub fn try_run_wasm_with(
+/// Run a compiled-to-Wasm benchmark end to end, optionally sharing
+/// compile artifacts through `cache`. Caching skips real
+/// decode/validate/side-table work but replays the same *virtual*
+/// load/compile charges, so the measurement is bit-identical either
+/// way. A failed run reports the measurement state at the point of
+/// failure (see [`RunFailure`]).
+pub fn try_run_wasm(
     spec: &WasmSpec<'_>,
     cache: Option<&ArtifactCache>,
 ) -> Result<Measurement, RunFailure> {
@@ -437,43 +514,16 @@ pub fn try_run_wasm_with(
         standard_imports(artifact.strings.clone()),
     )?;
     let run = inst.invoke(spec.entry, &[]);
-    let report = inst.report();
-    let measurement = Measurement {
-        time: report.total,
-        clock: report.clock.clone(),
-        memory_bytes: reported_wasm_memory(spec.env, report.memory.linear_bytes),
-        code_size: artifact.bytes.len() as u64,
-        counts: report.counts,
-        arith: report.arith,
-        output: inst.output.clone(),
-        context_switches: report.context_switches,
-    };
-    match run {
-        Ok(_) => Ok(measurement),
-        Err(trap) => Err(RunFailure {
-            error: RunError::Trap(trap),
-            partial: Some(Box::new(measurement)),
-        }),
-    }
+    settle(
+        run,
+        Measurement::of_wasm(&inst, spec.env, artifact.bytes.len()),
+    )
 }
 
-/// Run a compiled-to-JavaScript benchmark end to end.
-pub fn run_compiled_js(spec: &JsSpec<'_>) -> Result<Measurement, RunError> {
-    run_compiled_js_with(spec, None)
-}
-
-/// [`run_compiled_js`], optionally sharing the generated JS source
-/// through `cache`.
-pub fn run_compiled_js_with(
-    spec: &JsSpec<'_>,
-    cache: Option<&ArtifactCache>,
-) -> Result<Measurement, RunError> {
-    try_run_compiled_js_with(spec, cache).map_err(|f| f.error)
-}
-
-/// [`run_compiled_js_with`], but a failed run also reports the
-/// measurement state at the point of failure (see [`RunFailure`]).
-pub fn try_run_compiled_js_with(
+/// Run a compiled-to-JavaScript benchmark end to end, optionally
+/// sharing the generated JS source through `cache` (failures as
+/// [`try_run_wasm`]).
+pub fn try_run_compiled_js(
     spec: &JsSpec<'_>,
     cache: Option<&ArtifactCache>,
 ) -> Result<Measurement, RunFailure> {
@@ -484,30 +534,14 @@ pub fn try_run_compiled_js_with(
         Ok(CachedJs { source: out.source })
     };
     let artifact = match cache {
-        Some(cache) => {
-            let key = ArtifactKey::compute(
-                ArtifactKind::Js,
-                spec.source,
-                &spec.defines,
-                spec.level,
-                spec.toolchain,
-                None,
-                spec.trap_checks,
-            );
-            cache.js(key, build)?
-        }
+        Some(cache) => cache.js(spec.artifact_key(), build)?,
         None => Arc::new(build()?),
     };
     run_js_source(&artifact.source, spec)
 }
 
-/// Run a manually-written MiniJS program (§4.1.2).
-pub fn run_manual_js(spec: &JsSpec<'_>) -> Result<Measurement, RunError> {
-    try_run_manual_js(spec).map_err(|f| f.error)
-}
-
-/// [`run_manual_js`], but a failed run also reports the measurement
-/// state at the point of failure (see [`RunFailure`]).
+/// Run a manually-written MiniJS program (§4.1.2; failures as
+/// [`try_run_wasm`]).
 pub fn try_run_manual_js(spec: &JsSpec<'_>) -> Result<Measurement, RunFailure> {
     run_js_source(spec.source, spec)
 }
@@ -521,61 +555,15 @@ fn run_js_source(js_source: &str, spec: &JsSpec<'_>) -> Result<Measurement, RunF
     let mut vm = JsVm::new(config);
     vm.load(js_source)?;
     let run = vm.call(spec.entry, &[]);
-    let report = vm.report();
-    let measurement = Measurement {
-        time: report.total,
-        clock: report.clock.clone(),
-        memory_bytes: profile.js.baseline_memory_bytes + report.heap.peak_live_bytes,
-        code_size: js_source.len() as u64,
-        counts: report.counts,
-        arith: report.arith,
-        output: vm.output.clone(),
-        context_switches: 0,
-    };
-    match run {
-        Ok(_) => Ok(measurement),
-        Err(e) => Err(RunFailure {
-            error: RunError::Js(e),
-            partial: Some(Box::new(measurement)),
-        }),
-    }
+    settle(run, Measurement::of_js(&vm, spec.env, js_source.len()))
 }
 
-/// Run the native (x86 control) build, Fig 6.
-pub fn run_native(
-    source: &str,
-    defines: &[(String, String)],
-    level: OptLevel,
-    entry: &str,
-) -> Result<Measurement, RunError> {
-    run_native_with(source, defines, level, entry, None)
-}
-
-/// [`run_native`], optionally sharing the compiled program through
-/// `cache`.
-pub fn run_native_with(
-    source: &str,
-    defines: &[(String, String)],
-    level: OptLevel,
-    entry: &str,
-    cache: Option<&ArtifactCache>,
-) -> Result<Measurement, RunError> {
-    try_run_native_with(
-        source,
-        defines,
-        level,
-        entry,
-        ResourceLimits::default(),
-        cache,
-    )
-    .map_err(|f| f.error)
-}
-
-/// [`run_native_with`] under explicit resource limits. Limits apply at
-/// *run* time ([`wb_minic::backend::native::NativeProgram::run_with_limits`]),
-/// so the compiled program is still shared through the cache across
-/// cells with different limits.
-pub fn try_run_native_with(
+/// Run the native (x86 control) build, Fig 6, optionally sharing the
+/// compiled program through `cache`. Limits apply at *run* time
+/// ([`wb_minic::backend::native::NativeProgram::run_with_limits`]), so
+/// the compiled program is still shared across cells with different
+/// limits.
+pub fn try_run_native(
     source: &str,
     defines: &[(String, String)],
     level: OptLevel,
@@ -584,24 +572,13 @@ pub fn try_run_native_with(
     cache: Option<&ArtifactCache>,
 ) -> Result<Measurement, RunFailure> {
     let build = || -> Result<CachedNative, RunFailure> {
-        let compiler = compiler_for(defines, level, Toolchain::Cheerp, Some(1 << 30));
+        let compiler = compiler_for(defines, level, NATIVE_TOOLCHAIN, NATIVE_HEAP_LIMIT);
         Ok(CachedNative {
             prog: compiler.compile_native(source)?,
         })
     };
     let artifact = match cache {
-        Some(cache) => {
-            let key = ArtifactKey::compute(
-                ArtifactKind::Native,
-                source,
-                defines,
-                level,
-                Toolchain::Cheerp,
-                Some(1 << 30),
-                false,
-            );
-            cache.native(key, build)?
-        }
+        Some(cache) => cache.native(native_artifact_key(source, defines, level), build)?,
         None => Arc::new(build()?),
     };
     let prog = &artifact.prog;
@@ -641,8 +618,8 @@ mod tests {
 
     #[test]
     fn wasm_and_js_runs_agree_on_output() {
-        let w = run_wasm(&WasmSpec::new(KERNEL)).unwrap();
-        let j = run_compiled_js(&JsSpec::new(KERNEL)).unwrap();
+        let w = try_run_wasm(&WasmSpec::new(KERNEL), None).unwrap();
+        let j = try_run_compiled_js(&JsSpec::new(KERNEL), None).unwrap();
         assert_eq!(w.output, j.output);
         assert!(w.time.0 > 0.0 && j.time.0 > 0.0);
         assert!(w.code_size > 0 && j.code_size > 0);
@@ -650,7 +627,7 @@ mod tests {
 
     #[test]
     fn wasm_memory_includes_engine_baseline_plus_linear() {
-        let w = run_wasm(&WasmSpec::new(KERNEL)).unwrap();
+        let w = try_run_wasm(&WasmSpec::new(KERNEL), None).unwrap();
         let baseline = Environment::desktop_chrome()
             .profile()
             .wasm
@@ -664,7 +641,7 @@ mod tests {
 
     #[test]
     fn js_memory_is_flat_for_typed_array_kernels() {
-        let j = run_compiled_js(&JsSpec::new(KERNEL)).unwrap();
+        let j = try_run_compiled_js(&JsSpec::new(KERNEL), None).unwrap();
         let baseline = Environment::desktop_chrome()
             .profile()
             .js
@@ -675,10 +652,10 @@ mod tests {
 
     #[test]
     fn environments_change_the_numbers() {
-        let chrome = run_wasm(&WasmSpec::new(KERNEL)).unwrap();
+        let chrome = try_run_wasm(&WasmSpec::new(KERNEL), None).unwrap();
         let mut spec = WasmSpec::new(KERNEL);
         spec.env = Environment::new(Browser::Firefox, Platform::Desktop);
-        let firefox = run_wasm(&spec).unwrap();
+        let firefox = try_run_wasm(&spec, None).unwrap();
         assert_ne!(chrome.time.0, firefox.time.0);
         assert_eq!(
             chrome.output, firefox.output,
@@ -688,15 +665,23 @@ mod tests {
 
     #[test]
     fn native_control_runs() {
-        let n = run_native(KERNEL, &[], OptLevel::O2, "bench_main").unwrap();
-        let w = run_wasm(&WasmSpec::new(KERNEL)).unwrap();
+        let n = try_run_native(
+            KERNEL,
+            &[],
+            OptLevel::O2,
+            "bench_main",
+            ResourceLimits::default(),
+            None,
+        )
+        .unwrap();
+        let w = try_run_wasm(&WasmSpec::new(KERNEL), None).unwrap();
         assert_eq!(n.output, w.output);
     }
 
     #[test]
     fn deterministic_runs() {
-        let a = run_wasm(&WasmSpec::new(KERNEL)).unwrap();
-        let b = run_wasm(&WasmSpec::new(KERNEL)).unwrap();
+        let a = try_run_wasm(&WasmSpec::new(KERNEL), None).unwrap();
+        let b = try_run_wasm(&WasmSpec::new(KERNEL), None).unwrap();
         assert_eq!(a.time.0.to_bits(), b.time.0.to_bits());
         assert_eq!(a.memory_bytes, b.memory_bytes);
     }

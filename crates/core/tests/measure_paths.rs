@@ -3,8 +3,11 @@
 //! permutations all flowing through the public API.
 
 use wasmbench_core_test_helpers::*;
-use wb_core::{run_compiled_js, run_manual_js, run_native, run_wasm, JsSpec, RunError, WasmSpec};
-use wb_env::{Environment, JitMode, TierPolicy, Toolchain};
+use wb_core::{
+    try_run_compiled_js, try_run_manual_js, try_run_native, try_run_wasm, JsSpec, Measurement,
+    RunError, RunFailure, WasmSpec,
+};
+use wb_env::{Environment, JitMode, ResourceLimits, TierPolicy, Toolchain};
 use wb_minic::OptLevel;
 
 mod wasmbench_core_test_helpers {
@@ -13,30 +16,51 @@ mod wasmbench_core_test_helpers {
     pub const BAD_SRC: &str = "void bench_main() { undeclared = 1; }";
 }
 
+/// The `-O2` native build of `src`, uncached and unlimited.
+fn native(src: &str) -> Result<Measurement, RunFailure> {
+    let limits = ResourceLimits::default();
+    try_run_native(src, &[], OptLevel::O2, "bench_main", limits, None)
+}
+
 #[test]
 fn compile_errors_surface_as_run_errors() {
-    match run_wasm(&WasmSpec::new(BAD_SRC)) {
-        Err(RunError::Compile(_)) => {}
+    match try_run_wasm(&WasmSpec::new(BAD_SRC), None) {
+        Err(RunFailure {
+            error: RunError::Compile(_),
+            ..
+        }) => {}
         other => panic!("expected compile error, got {other:?}"),
     }
-    match run_compiled_js(&JsSpec::new(BAD_SRC)) {
-        Err(RunError::Compile(_)) => {}
+    match try_run_compiled_js(&JsSpec::new(BAD_SRC), None) {
+        Err(RunFailure {
+            error: RunError::Compile(_),
+            ..
+        }) => {}
         other => panic!("expected compile error, got {other:?}"),
     }
-    match run_native(BAD_SRC, &[], OptLevel::O2, "bench_main") {
-        Err(RunError::Compile(_)) => {}
+    match native(BAD_SRC) {
+        Err(RunFailure {
+            error: RunError::Compile(_),
+            ..
+        }) => {}
         other => panic!("expected compile error, got {other:?}"),
     }
 }
 
 #[test]
 fn traps_surface_with_engine_specific_types() {
-    match run_wasm(&WasmSpec::new(TRAP_SRC)) {
-        Err(RunError::Trap(wb_wasm_vm::Trap::DivByZero)) => {}
+    match try_run_wasm(&WasmSpec::new(TRAP_SRC), None) {
+        Err(RunFailure {
+            error: RunError::Trap(wb_wasm_vm::Trap::DivByZero),
+            ..
+        }) => {}
         other => panic!("expected div-by-zero trap, got {other:?}"),
     }
-    match run_native(TRAP_SRC, &[], OptLevel::O2, "bench_main") {
-        Err(RunError::Native(_)) => {}
+    match native(TRAP_SRC) {
+        Err(RunFailure {
+            error: RunError::Native(_),
+            ..
+        }) => {}
         other => panic!("expected native trap, got {other:?}"),
     }
     // JS division by zero yields Infinity, not a trap — `5 / 0 | print`
@@ -44,7 +68,7 @@ fn traps_surface_with_engine_specific_types() {
     // the int path so the `(int)` conversion runs `Math.trunc(Infinity)|0`
     // = 0 in JS semantics. Both are legitimate; the differential suite
     // therefore never divides by zero. Here we just assert it *runs*.
-    let r = run_compiled_js(&JsSpec::new(TRAP_SRC));
+    let r = try_run_compiled_js(&JsSpec::new(TRAP_SRC), None);
     assert!(r.is_ok(), "JS division by zero does not trap: {r:?}");
 }
 
@@ -57,13 +81,13 @@ fn all_tier_policies_and_jit_modes_run() {
     ] {
         let mut spec = WasmSpec::new(OK_SRC);
         spec.tier_policy = policy;
-        let m = run_wasm(&spec).expect("runs");
+        let m = try_run_wasm(&spec, None).expect("runs");
         assert_eq!(m.output, vec!["42"]);
     }
     for jit in [JitMode::Enabled, JitMode::Disabled] {
         let mut spec = JsSpec::new(OK_SRC);
         spec.jit = jit;
-        let m = run_compiled_js(&spec).expect("runs");
+        let m = try_run_compiled_js(&spec, None).expect("runs");
         assert_eq!(m.output, vec!["42"]);
     }
 }
@@ -75,14 +99,14 @@ fn every_environment_and_toolchain_combination_runs() {
             let mut spec = WasmSpec::new(OK_SRC);
             spec.env = env;
             spec.toolchain = toolchain;
-            let m = run_wasm(&spec).expect("runs");
+            let m = try_run_wasm(&spec, None).expect("runs");
             assert_eq!(m.output, vec!["42"], "{} {:?}", env.label(), toolchain);
             assert!(m.time.0 > 0.0);
             assert!(m.memory_bytes > 0);
         }
         let mut spec = JsSpec::new(OK_SRC);
         spec.env = env;
-        let m = run_compiled_js(&spec).expect("runs");
+        let m = try_run_compiled_js(&spec, None).expect("runs");
         assert_eq!(m.output, vec!["42"], "{}", env.label());
     }
 }
@@ -90,7 +114,7 @@ fn every_environment_and_toolchain_combination_runs() {
 #[test]
 fn manual_js_runs_through_the_same_pipeline() {
     let src = "function bench_main() { console.log(6 * 7); }";
-    let m = run_manual_js(&JsSpec::new(src)).expect("runs");
+    let m = try_run_manual_js(&JsSpec::new(src)).expect("runs");
     assert_eq!(m.output, vec!["42"]);
     assert_eq!(m.code_size, src.len() as u64);
 }
@@ -100,16 +124,16 @@ fn all_opt_levels_run_and_keep_results() {
     for level in OptLevel::ALL {
         let mut spec = WasmSpec::new(OK_SRC);
         spec.level = level;
-        let m = run_wasm(&spec).expect("runs");
+        let m = try_run_wasm(&spec, None).expect("runs");
         assert_eq!(m.output, vec!["42"], "{level}");
     }
 }
 
 #[test]
 fn context_switch_accounting_present_for_wasm_only() {
-    let w = run_wasm(&WasmSpec::new(OK_SRC)).expect("runs");
+    let w = try_run_wasm(&WasmSpec::new(OK_SRC), None).expect("runs");
     assert!(w.context_switches >= 2, "invoke crosses twice");
-    let j = run_compiled_js(&JsSpec::new(OK_SRC)).expect("runs");
+    let j = try_run_compiled_js(&JsSpec::new(OK_SRC), None).expect("runs");
     assert_eq!(j.context_switches, 0);
 }
 
@@ -117,7 +141,7 @@ fn context_switch_accounting_present_for_wasm_only() {
 fn emscripten_memory_floor_is_16_mib() {
     let mut spec = WasmSpec::new(OK_SRC);
     spec.toolchain = Toolchain::Emscripten;
-    let m = run_wasm(&spec).expect("runs");
+    let m = try_run_wasm(&spec, None).expect("runs");
     let baseline = Environment::desktop_chrome()
         .profile()
         .wasm

@@ -7,6 +7,7 @@ use wb_harness::{experiments, Cli, GridEngine};
 fn main() {
     let cli = Cli::from_env();
     let engine = GridEngine::from_cli(&cli);
+    cli.out_dir();
     experiments::fig9(&cli, &engine, cli.environment());
     engine.finish_with(&cli, "fig9");
 }

@@ -13,9 +13,15 @@
 
 use std::time::Instant;
 use wb_benchmarks::InputSize;
-use wb_core::{ArtifactCache, Measurement};
+use wb_core::{try_run_compiled_js, try_run_wasm, ArtifactCache, Measurement};
 use wb_env::{Environment, TierPolicy};
 use wb_harness::{Cli, Run};
+
+/// A cell's Wasm measurement, optionally through `cache`.
+fn wasm(run: &Run, cache: Option<&ArtifactCache>) -> Measurement {
+    try_run_wasm(&run.wasm_spec(), cache)
+        .unwrap_or_else(|e| panic!("{} wasm: {e}", run.benchmark.name))
+}
 
 /// The compile-bound slice of the suite: kernels whose XS-dataset
 /// execution is cheap relative to the MiniC pipeline + module
@@ -77,7 +83,7 @@ fn main() {
     // one-time costs (allocator growth, lazy statics, CPU frequency
     // ramp) that belong to neither pass.
     for run in grid.iter().take(24) {
-        run.wasm_with(None);
+        wasm(run, None);
     }
 
     // Sequential on purpose (wall-clock ratios, not throughput), and
@@ -87,7 +93,7 @@ fn main() {
     let mut uncached_wall = std::time::Duration::MAX;
     for _ in 0..3 {
         let t0 = Instant::now();
-        uncached = grid.iter().map(|run| run.wasm_with(None)).collect();
+        uncached = grid.iter().map(|run| wasm(run, None)).collect();
         uncached_wall = uncached_wall.min(t0.elapsed());
     }
 
@@ -96,7 +102,7 @@ fn main() {
     let mut cached_wall = std::time::Duration::MAX;
     for _ in 0..3 {
         let t1 = Instant::now();
-        cached = grid.iter().map(|run| run.wasm_with(Some(&cache))).collect();
+        cached = grid.iter().map(|run| wasm(run, Some(&cache))).collect();
         cached_wall = cached_wall.min(t1.elapsed());
     }
 
@@ -215,9 +221,10 @@ fn vmexec(dir: &std::path::Path) {
                     .iter()
                     .map(|r| {
                         if backend == "wasm" {
-                            r.wasm_with(Some(&cache))
+                            wasm(r, Some(&cache))
                         } else {
-                            r.js_with(Some(&cache))
+                            try_run_compiled_js(&r.js_spec(), Some(&cache))
+                                .unwrap_or_else(|e| panic!("{} js: {e}", r.benchmark.name))
                         }
                     })
                     .collect()

@@ -4,7 +4,7 @@
 use wb_benchmarks::manual_js::all_manual;
 use wb_benchmarks::InputSize;
 use wb_core::report::{kilobytes, millis, Table};
-use wb_core::{run_manual_js, JsSpec};
+use wb_core::{try_run_manual_js, JsSpec};
 use wb_harness::{Cli, GridEngine, Run};
 
 fn main() {
@@ -16,8 +16,8 @@ fn main() {
         let src = m.full_source();
         let mut spec = JsSpec::new(&src);
         spec.entry = "bench_main";
-        let manual = run_manual_js(&spec).unwrap_or_else(|e| {
-            eprintln!("error: {}/manual-js [{}]: {e}", m.name, e.kind());
+        let manual = try_run_manual_js(&spec).unwrap_or_else(|f| {
+            eprintln!("error: {}/manual-js [{}]: {f}", m.name, f.error.kind());
             std::process::exit(1);
         });
         // Counterpart compiled versions at the manual benchmark's scale

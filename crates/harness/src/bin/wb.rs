@@ -99,6 +99,8 @@ fn regen_main(args: &[String]) {
             .collect()
     };
     let engine = GridEngine::from_cli(&cli);
+    // An unwritable `--out` fails now, not after the whole grid ran.
+    cli.out_dir();
     for experiment in selected {
         experiment(&cli, &engine);
     }

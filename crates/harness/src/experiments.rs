@@ -39,11 +39,13 @@ pub fn find(name: &str) -> Option<Experiment> {
     ALL.iter().find(|(n, _)| *n == name).map(|&(_, e)| e)
 }
 
-/// The whole `main` of a single-experiment binary: parse the flags, run
-/// `experiment` on a fresh engine, then [`GridEngine::finish_with`].
+/// The whole `main` of a single-experiment binary: parse the flags,
+/// resolve the `--out` directory before any cell runs, run `experiment`
+/// on a fresh engine, then [`GridEngine::finish_with`].
 pub fn run_bin(name: &str, experiment: Experiment) {
     let cli = Cli::from_env();
     let engine = GridEngine::from_cli(&cli);
+    cli.out_dir();
     experiment(&cli, &engine);
     engine.finish_with(&cli, name);
 }

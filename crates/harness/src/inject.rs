@@ -21,8 +21,8 @@ use crate::{panic_message, parallel_map_catch, GridEngine, Run};
 use std::panic::AssertUnwindSafe;
 use wb_benchmarks::InputSize;
 use wb_core::{
-    try_run_compiled_js_with, try_run_native_with, try_run_wasm_with, JsSpec, Measurement,
-    RunFailure, TrapKind, WasmSpec,
+    try_run_compiled_js, try_run_native, try_run_wasm, JsSpec, Measurement, RunFailure, TrapKind,
+    WasmSpec,
 };
 use wb_env::ResourceLimits;
 use wb_minic::{Compiler, OptLevel};
@@ -229,20 +229,14 @@ fn wasm_spec<'a>(
     limits: ResourceLimits,
 ) -> WasmSpec<'a> {
     let mut spec = WasmSpec::new(source);
-    spec.defines = defines
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
+    spec.defines = string_defines(defines);
     spec.limits = limits;
     spec
 }
 
 fn js_spec<'a>(source: &'a str, defines: &[(&str, &str)], limits: ResourceLimits) -> JsSpec<'a> {
     let mut spec = JsSpec::new(source);
-    spec.defines = defines
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
+    spec.defines = string_defines(defines);
     spec.limits = limits;
     spec
 }
@@ -261,13 +255,13 @@ fn fuel_exhaustion() -> InjectReport {
     let limits = ResourceLimits::default().with_fuel(1_000);
     let defines = [("N", "32")];
     probe(&mut report, "fuel/wasm", TrapKind::FuelExhausted, || {
-        try_run_wasm_with(&wasm_spec(GRID_SRC, &defines, limits), None)
+        try_run_wasm(&wasm_spec(GRID_SRC, &defines, limits), None)
     });
     probe(&mut report, "fuel/js", TrapKind::FuelExhausted, || {
-        try_run_compiled_js_with(&js_spec(GRID_SRC, &defines, limits), None)
+        try_run_compiled_js(&js_spec(GRID_SRC, &defines, limits), None)
     });
     probe(&mut report, "fuel/native", TrapKind::FuelExhausted, || {
-        try_run_native_with(
+        try_run_native(
             GRID_SRC,
             &string_defines(&defines),
             OptLevel::O2,
@@ -287,13 +281,13 @@ fn memory_exhaustion() -> InjectReport {
     let limits = ResourceLimits::default().with_max_memory_bytes(4 * 1024);
     let defines = [("N", "90")]; // 8·90² ≈ 63 KiB of arrays
     probe(&mut report, "memory/wasm", TrapKind::MemoryLimit, || {
-        try_run_wasm_with(&wasm_spec(GRID_SRC, &defines, limits), None)
+        try_run_wasm(&wasm_spec(GRID_SRC, &defines, limits), None)
     });
     probe(&mut report, "memory/js", TrapKind::MemoryLimit, || {
-        try_run_compiled_js_with(&js_spec(GRID_SRC, &defines, limits), None)
+        try_run_compiled_js(&js_spec(GRID_SRC, &defines, limits), None)
     });
     probe(&mut report, "memory/native", TrapKind::MemoryLimit, || {
-        try_run_native_with(
+        try_run_native(
             GRID_SRC,
             &string_defines(&defines),
             OptLevel::O2,
@@ -312,13 +306,13 @@ fn stack_exhaustion() -> InjectReport {
     let limits = ResourceLimits::default().with_max_call_depth(64);
     let defines = [("DEPTH", "5000")];
     probe(&mut report, "stack/wasm", TrapKind::StackOverflow, || {
-        try_run_wasm_with(&wasm_spec(RECURSE_SRC, &defines, limits), None)
+        try_run_wasm(&wasm_spec(RECURSE_SRC, &defines, limits), None)
     });
     probe(&mut report, "stack/js", TrapKind::StackOverflow, || {
-        try_run_compiled_js_with(&js_spec(RECURSE_SRC, &defines, limits), None)
+        try_run_compiled_js(&js_spec(RECURSE_SRC, &defines, limits), None)
     });
     probe(&mut report, "stack/native", TrapKind::StackOverflow, || {
-        try_run_native_with(
+        try_run_native(
             RECURSE_SRC,
             &string_defines(&defines),
             OptLevel::O2,

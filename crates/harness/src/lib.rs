@@ -53,8 +53,8 @@ use std::sync::{Arc, Mutex};
 use wb_benchmarks::{Benchmark, InputSize};
 use wb_core::report::Table;
 use wb_core::{
-    try_run_compiled_js_with, try_run_native_with, try_run_wasm_with, ArtifactCache, ArtifactKey,
-    ArtifactKind, JsSpec, Measurement, RunError, RunFailure, TrapKind, WasmSpec,
+    native_artifact_key, try_run_compiled_js, try_run_native, try_run_wasm, ArtifactCache,
+    ArtifactKey, JsSpec, Measurement, RunError, RunFailure, TrapKind, WasmSpec,
 };
 use wb_env::{Environment, JitMode, Nanos, ResourceLimits, TierPolicy, Toolchain, VirtualClock};
 use wb_minic::OptLevel;
@@ -201,19 +201,40 @@ impl Cli {
     }
 
     /// CSV output directory (`results/` by default), created on demand.
+    /// One that cannot be created ends the process with a one-line
+    /// `error:` diagnostic and exit status 1, never a panic; the grid
+    /// binaries resolve it before their first cell runs.
     pub fn out_dir(&self) -> PathBuf {
         let dir = PathBuf::from(self.get("out").unwrap_or("results"));
-        std::fs::create_dir_all(&dir).expect("create results dir");
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            exit_io("create", &dir, e);
+        }
         dir
+    }
+
+    /// Write `table`'s CSV as `<out>/<file>` (exits like
+    /// [`Cli::out_dir`] on a write error) and return its path.
+    fn write_csv(&self, file: &str, table: &Table) -> PathBuf {
+        let path = self.out_dir().join(file);
+        if let Err(e) = std::fs::write(&path, table.to_csv()) {
+            exit_io("write", &path, e);
+        }
+        path
     }
 
     /// Write a table's CSV next to printing it.
     pub fn emit(&self, name: &str, table: &Table) {
         println!("{}", table.render());
-        let path = self.out_dir().join(format!("{name}.csv"));
-        std::fs::write(&path, table.to_csv()).expect("write csv");
+        let path = self.write_csv(&format!("{name}.csv"), table);
         eprintln!("[wrote {}]", path.display());
     }
+}
+
+/// The one-line diagnostic for an output file or directory that cannot
+/// be written; exits with status 1.
+fn exit_io(action: &str, path: &std::path::Path, e: std::io::Error) -> ! {
+    eprintln!("error: cannot {action} {}: {e}", path.display());
+    std::process::exit(1);
 }
 
 /// Run a closure per item on a scoped thread pool, preserving order.
@@ -331,20 +352,21 @@ pub struct GridEngine {
     keep_going: bool,
     retries: u32,
     failures: Mutex<Vec<CellFailure>>,
-    quarantine: Mutex<HashSet<String>>,
+    quarantine: Mutex<HashSet<MemoKey>>,
     memo: Mutex<HashMap<MemoKey, MemoSlot>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
 }
 
-/// Everything a cell's measurement depends on: the compile artifact
-/// (source, defines, level, toolchain, heap limit and backend, hashed
-/// into its [`ArtifactKey`]) plus the run configuration its backend
-/// reads. Fields a backend ignores are left out — `None`, or `false` for
-/// native's `reference_exec` (native runs ignore the environment, tier
-/// policy, JIT mode and `reference_exec`; Wasm ignores the JIT mode;
-/// compiled JS ignores the tier policy) — so cells differing only there
-/// share one measurement.
+/// Everything a cell's measurement depends on, and so the cell's
+/// identity: the compile artifact (source, defines, level, toolchain,
+/// heap limit and backend, hashed into its [`ArtifactKey`] by wb-core)
+/// plus the run configuration its backend reads. Fields a backend
+/// ignores are left out — `None`, or `false` for native's
+/// `reference_exec` (native runs ignore the environment, tier policy,
+/// JIT mode and `reference_exec`; Wasm ignores the JIT mode; compiled JS
+/// ignores the tier policy) — so cells differing only there share one
+/// measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MemoKey {
     artifact: ArtifactKey,
@@ -385,7 +407,7 @@ impl MemoStats {
 /// written to the `<name>_failures.csv` partial-results annex.
 #[derive(Debug)]
 pub struct CellFailure {
-    /// `benchmark/size/level/backend` label of the cell.
+    /// The cell's [`Run::label`].
     pub cell: String,
     /// Backend-independent fault class.
     pub kind: TrapKind,
@@ -492,43 +514,49 @@ impl GridEngine {
     /// panics are retried (deterministic traps fail identically), and a
     /// cell that exhausts its attempts is quarantined.
     pub fn try_wasm(&self, run: &Run) -> Result<Measurement, RunFailure> {
-        let cell = self.configured(run);
+        let mut spec = run.wasm_spec();
+        spec.reference_exec |= self.reference_exec;
         let key = MemoKey {
-            artifact: cell.artifact_key(ArtifactKind::Wasm),
-            env: Some(cell.env),
-            tier_policy: Some(cell.tier_policy),
+            artifact: spec.artifact_key(),
+            env: Some(spec.env),
+            tier_policy: Some(spec.tier_policy),
             jit: None,
-            limits: cell.limits,
-            reference_exec: cell.reference_exec,
+            limits: spec.limits,
+            reference_exec: spec.reference_exec,
         };
-        self.memoized(key, run, "wasm", || cell.try_wasm_with(self.cache))
+        self.memoized(key, run, "wasm", || try_run_wasm(&spec, self.cache))
     }
 
     /// Fallible compiled-JS cell (semantics as [`GridEngine::try_wasm`]).
     pub fn try_js(&self, run: &Run) -> Result<Measurement, RunFailure> {
-        let cell = self.configured(run);
+        let mut spec = run.js_spec();
+        spec.reference_exec |= self.reference_exec;
         let key = MemoKey {
-            artifact: cell.artifact_key(ArtifactKind::Js),
-            env: Some(cell.env),
+            artifact: spec.artifact_key(),
+            env: Some(spec.env),
             tier_policy: None,
-            jit: Some(cell.jit),
-            limits: cell.limits,
-            reference_exec: cell.reference_exec,
+            jit: Some(spec.jit),
+            limits: spec.limits,
+            reference_exec: spec.reference_exec,
         };
-        self.memoized(key, run, "js", || cell.try_js_with(self.cache))
+        self.memoized(key, run, "js", || try_run_compiled_js(&spec, self.cache))
     }
 
     /// Fallible native cell (semantics as [`GridEngine::try_wasm`]).
     pub fn try_native(&self, run: &Run) -> Result<Measurement, RunFailure> {
+        let (source, defines) = (run.benchmark.source, run.benchmark.defines(run.size));
+        let (level, limits) = (run.level, run.limits);
         let key = MemoKey {
-            artifact: run.artifact_key(ArtifactKind::Native),
+            artifact: native_artifact_key(source, &defines, level),
             env: None,
             tier_policy: None,
             jit: None,
-            limits: run.limits,
+            limits,
             reference_exec: false,
         };
-        self.memoized(key, run, "native", || run.try_native_with(self.cache))
+        self.memoized(key, run, "native", || {
+            try_run_native(source, &defines, level, "bench_main", limits, self.cache)
+        })
     }
 
     /// Memo hits and misses so far.
@@ -563,18 +591,11 @@ impl GridEngine {
             return Ok(m.clone());
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.attempt(run, backend, f);
+        let outcome = self.attempt(key, run, backend, f);
         if let Ok(m) = &outcome {
             *stored = Some(m.clone());
         }
         outcome
-    }
-
-    /// A cell with the engine-wide `--reference-exec` choice applied.
-    fn configured(&self, run: &Run) -> Run {
-        let mut run = run.clone();
-        run.reference_exec |= self.reference_exec;
-        run
     }
 
     /// Per-cell isolation + bounded retry. Each attempt runs under
@@ -585,6 +606,7 @@ impl GridEngine {
     /// identically every time, so they don't.
     fn attempt(
         &self,
+        key: MemoKey,
         run: &Run,
         backend: &str,
         f: impl Fn() -> Result<Measurement, RunFailure>,
@@ -611,17 +633,18 @@ impl GridEngine {
                 }
             }
         };
-        self.record_failure(&run.label(backend), &failure, attempts);
+        self.record_failure(key, run.label(backend), &failure, attempts);
         Err(failure)
     }
 
-    /// Put a spent cell on the quarantine list (deduplicated by label).
-    fn record_failure(&self, label: &str, failure: &RunFailure, attempts: u32) {
+    /// Put a spent cell on the quarantine list (deduplicated by cell
+    /// identity, its `MemoKey`).
+    fn record_failure(&self, key: MemoKey, label: String, failure: &RunFailure, attempts: u32) {
         let mut quarantine = self
             .quarantine
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if !quarantine.insert(label.to_string()) {
+        if !quarantine.insert(key) {
             return; // already quarantined; don't double-report
         }
         drop(quarantine);
@@ -629,7 +652,7 @@ impl GridEngine {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .push(CellFailure {
-                cell: label.to_string(),
+                cell: label,
                 kind: failure.error.kind(),
                 message: failure.error.to_string(),
                 partial_time: failure.partial.as_ref().map(|m| m.time),
@@ -697,8 +720,7 @@ impl GridEngine {
                 f.message.clone(),
             ]);
         }
-        let path = cli.out_dir().join(format!("{name}_failures.csv"));
-        std::fs::write(&path, table.to_csv()).expect("write failures csv");
+        let path = cli.write_csv(&format!("{name}_failures.csv"), &table);
         eprintln!(
             "[quarantine] {} cell(s) failed; annotated in {}",
             failures.len(),
@@ -767,9 +789,6 @@ fn zero_measurement() -> Measurement {
     }
 }
 
-/// Heap limit of every grid cell's Wasm build.
-const WASM_HEAP_LIMIT: Option<u64> = Some(256 << 20);
-
 /// One benchmark run request (a grid cell).
 #[derive(Debug, Clone)]
 pub struct Run {
@@ -812,82 +831,46 @@ impl Run {
         }
     }
 
-    /// `benchmark/size/level/backend` label, used on quarantine lists
-    /// and failure CSVs.
+    /// `benchmark/size/level/toolchain/env/backend` label, used on
+    /// quarantine lists and failure CSVs. Wasm cells append their tier
+    /// policy and JS cells their JIT mode, the run settings only that
+    /// backend reads.
     pub fn label(&self, backend: &str) -> String {
-        format!(
-            "{}/{:?}/{}/{backend}",
+        let mut label = format!(
+            "{}/{:?}/{}/{:?}/{}-{}/{backend}",
             self.benchmark.name,
             self.size,
-            self.level.name()
-        )
+            self.level.name(),
+            self.toolchain,
+            self.env.browser.name(),
+            self.env.platform.name(),
+        );
+        match backend {
+            "wasm" => label += &format!("/tier-{:?}", self.tier_policy),
+            "js" => label += &format!("/jit-{:?}", self.jit),
+            _ => {}
+        }
+        label
     }
 
-    /// Execute the Wasm build.
-    pub fn wasm(&self) -> Measurement {
-        self.wasm_with(None)
-    }
-
-    /// Execute the Wasm build, optionally through an artifact cache.
-    pub fn wasm_with(&self, cache: Option<&ArtifactCache>) -> Measurement {
-        self.try_wasm_with(cache)
-            .unwrap_or_else(|e| panic!("{} wasm: {e}", self.benchmark.name))
-    }
-
-    /// The artifact-cache key of this cell's `kind` build, as the run
-    /// path computes it.
-    fn artifact_key(&self, kind: ArtifactKind) -> ArtifactKey {
-        let (toolchain, heap_limit) = match kind {
-            ArtifactKind::Wasm => (self.toolchain, WASM_HEAP_LIMIT),
-            ArtifactKind::Js => (self.toolchain, None),
-            // `try_run_native_with` always builds with Cheerp and a 1 GiB heap.
-            ArtifactKind::Native => (Toolchain::Cheerp, Some(1 << 30)),
-        };
-        ArtifactKey::compute(
-            kind,
-            self.benchmark.source,
-            &self.benchmark.defines(self.size),
-            self.level,
-            toolchain,
-            heap_limit,
-            false,
-        )
-    }
-
-    /// Execute the Wasm build, returning the failure (with partial
-    /// measurement state) instead of panicking.
-    pub fn try_wasm_with(&self, cache: Option<&ArtifactCache>) -> Result<Measurement, RunFailure> {
-        let spec = WasmSpec {
-            source: self.benchmark.source,
+    /// The cell's Wasm build and run ([`wb_core::try_run_wasm`] input).
+    pub fn wasm_spec(&self) -> WasmSpec<'static> {
+        WasmSpec {
             defines: self.benchmark.defines(self.size),
             level: self.level,
             toolchain: self.toolchain,
             env: self.env,
             tier_policy: self.tier_policy,
-            heap_limit: WASM_HEAP_LIMIT,
             reference_exec: self.reference_exec,
             limits: self.limits,
-            entry: "bench_main",
-        };
-        try_run_wasm_with(&spec, cache)
+            ..WasmSpec::new(self.benchmark.source)
+        }
     }
 
-    /// Execute the compiled-JS build.
-    pub fn js(&self) -> Measurement {
-        self.js_with(None)
-    }
-
-    /// Execute the compiled-JS build, optionally through an artifact cache.
-    pub fn js_with(&self, cache: Option<&ArtifactCache>) -> Measurement {
-        self.try_js_with(cache)
-            .unwrap_or_else(|e| panic!("{} js: {e}", self.benchmark.name))
-    }
-
-    /// Execute the compiled-JS build, returning the failure (with
-    /// partial measurement state) instead of panicking.
-    pub fn try_js_with(&self, cache: Option<&ArtifactCache>) -> Result<Measurement, RunFailure> {
-        let spec = JsSpec {
-            source: self.benchmark.source,
+    /// The cell's compiled-JS build and run
+    /// ([`wb_core::try_run_compiled_js`] input).
+    pub fn js_spec(&self) -> JsSpec<'static> {
+        JsSpec {
             defines: self.benchmark.defines(self.size),
             level: self.level,
             toolchain: self.toolchain,
@@ -895,37 +878,7 @@ impl Run {
             jit: self.jit,
             reference_exec: self.reference_exec,
             limits: self.limits,
-            trap_checks: false,
-            entry: "bench_main",
-        };
-        try_run_compiled_js_with(&spec, cache)
-    }
-
-    /// Execute the native control build (Fig 6).
-    pub fn native(&self) -> Measurement {
-        self.native_with(None)
-    }
-
-    /// Execute the native control build, optionally through an artifact
-    /// cache.
-    pub fn native_with(&self, cache: Option<&ArtifactCache>) -> Measurement {
-        self.try_native_with(cache)
-            .unwrap_or_else(|e| panic!("{} native: {e}", self.benchmark.name))
-    }
-
-    /// Execute the native control build, returning the failure instead
-    /// of panicking.
-    pub fn try_native_with(
-        &self,
-        cache: Option<&ArtifactCache>,
-    ) -> Result<Measurement, RunFailure> {
-        try_run_native_with(
-            self.benchmark.source,
-            &self.benchmark.defines(self.size),
-            self.level,
-            "bench_main",
-            self.limits,
-            cache,
-        )
+            ..JsSpec::new(self.benchmark.source)
+        }
     }
 }

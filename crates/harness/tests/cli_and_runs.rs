@@ -2,9 +2,33 @@
 //! experiment binaries are built from.
 
 use wb_benchmarks::InputSize;
-use wb_core::ArtifactCache;
+use wb_core::{try_run_compiled_js, try_run_native, try_run_wasm, ArtifactCache, Measurement};
 use wb_env::{Browser, Environment, Platform};
 use wb_harness::{parallel_map, parallel_map_jobs, Cli, GridEngine, Run};
+
+/// A cell's uncached Wasm measurement.
+fn wasm(run: &Run) -> Measurement {
+    try_run_wasm(&run.wasm_spec(), None).expect("wasm")
+}
+
+/// A cell's uncached compiled-JS measurement.
+fn js(run: &Run) -> Measurement {
+    try_run_compiled_js(&run.js_spec(), None).expect("js")
+}
+
+/// A cell's uncached native measurement.
+fn native(run: &Run) -> Measurement {
+    let defines = run.benchmark.defines(run.size);
+    try_run_native(
+        run.benchmark.source,
+        &defines,
+        run.level,
+        "bench_main",
+        run.limits,
+        None,
+    )
+    .expect("native")
+}
 
 // --- Cli parsing -----------------------------------------------------------
 
@@ -137,7 +161,7 @@ fn grid_engine_shares_compiles_across_cells_and_workers() {
     let cache = CACHE.get_or_init(ArtifactCache::new);
     let engine = GridEngine::with_settings(Some(cache), Some(4));
     let b = wb_benchmarks::find("trisolv").expect("trisolv in corpus");
-    let baseline = Run::new(b.clone(), InputSize::XS).wasm();
+    let baseline = wasm(&Run::new(b.clone(), InputSize::XS));
 
     // 6 environments, one compile key: same artifact, same measurements
     // as the uncached baseline in the matching environment.
@@ -180,9 +204,9 @@ fn run_defaults_are_the_study_baseline() {
 fn run_executes_all_three_backends_with_identical_output() {
     let b = wb_benchmarks::find("durbin").expect("durbin in corpus");
     let run = Run::new(b, InputSize::XS);
-    let w = run.wasm();
-    let j = run.js();
-    let n = run.native();
+    let w = wasm(&run);
+    let j = js(&run);
+    let n = native(&run);
     assert!(!w.output.is_empty());
     assert_eq!(w.output, j.output, "Wasm and JS must agree");
     assert_eq!(w.output, n.output, "Wasm and native must agree");
@@ -201,8 +225,8 @@ fn run_executes_all_three_backends_with_identical_output() {
 fn run_grid_cell_is_deterministic() {
     let b = wb_benchmarks::find("trisolv").expect("trisolv in corpus");
     let run = Run::new(b, InputSize::XS);
-    let a = run.wasm();
-    let b2 = run.wasm();
+    let a = wasm(&run);
+    let b2 = wasm(&run);
     assert_eq!(
         a.time.0, b2.time.0,
         "virtual time must be exactly reproducible"
@@ -217,9 +241,9 @@ fn larger_inputs_take_longer_on_every_backend() {
     let b = wb_benchmarks::find("bicg").expect("bicg in corpus");
     let xs = Run::new(b.clone(), InputSize::XS);
     let m = Run::new(b, InputSize::M);
-    assert!(m.wasm().time.0 > xs.wasm().time.0);
-    assert!(m.js().time.0 > xs.js().time.0);
-    assert!(m.native().time.0 > xs.native().time.0);
+    assert!(wasm(&m).time.0 > wasm(&xs).time.0);
+    assert!(js(&m).time.0 > js(&xs).time.0);
+    assert!(native(&m).time.0 > native(&xs).time.0);
 }
 
 // --- Binaries ----------------------------------------------------------------
@@ -250,6 +274,28 @@ fn malformed_numeric_flags_are_usage_errors_not_panics() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unwritable_out_dir_is_one_error_line_not_a_panic() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig5"),
+            vec!["--quick", "--filter", "trisolv"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_wb"),
+            vec!["regen", "--quick", "--filter", "trisolv", "fig5"],
+        ),
+    ] {
+        let mut args = args;
+        args.extend(["--out", "/dev/null/x"]);
+        let (code, stderr) = run_bin(bin, &args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

@@ -8,7 +8,7 @@
 //! per-VM differential tests check in miniature.
 
 use wb_benchmarks::InputSize;
-use wb_core::Measurement;
+use wb_core::{try_run_compiled_js, try_run_wasm, Measurement};
 use wb_env::{JitMode, TierPolicy};
 use wb_harness::{parallel_map, Run};
 
@@ -40,13 +40,6 @@ fn assert_measurements_identical(a: &Measurement, b: &Measurement, what: &str) {
     );
 }
 
-fn fused_and_reference(mut run: Run) -> (Run, Run) {
-    run.reference_exec = false;
-    let mut reference = run.clone();
-    reference.reference_exec = true;
-    (run, reference)
-}
-
 #[test]
 fn wasm_suite_matches_across_engines_and_tier_policies() {
     let mut cells = Vec::new();
@@ -63,8 +56,12 @@ fn wasm_suite_matches_across_engines_and_tier_policies() {
     }
     parallel_map(cells, |run| {
         let what = format!("{} wasm {:?}", run.benchmark.name, run.tier_policy);
-        let (fused, reference) = fused_and_reference(run);
-        assert_measurements_identical(&fused.wasm(), &reference.wasm(), &what);
+        // `Run::new` runs the fused engine; flip only `reference_exec`.
+        let mut spec = run.wasm_spec();
+        let fused = try_run_wasm(&spec, None).unwrap_or_else(|e| panic!("{what}: {e}"));
+        spec.reference_exec = true;
+        let reference = try_run_wasm(&spec, None).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_measurements_identical(&fused, &reference, &what);
     });
 }
 
@@ -80,7 +77,11 @@ fn js_suite_matches_across_engines_and_jit_modes() {
     }
     parallel_map(cells, |run| {
         let what = format!("{} js {:?}", run.benchmark.name, run.jit);
-        let (fused, reference) = fused_and_reference(run);
-        assert_measurements_identical(&fused.js(), &reference.js(), &what);
+        // `Run::new` runs the fused engine; flip only `reference_exec`.
+        let mut spec = run.js_spec();
+        let fused = try_run_compiled_js(&spec, None).unwrap_or_else(|e| panic!("{what}: {e}"));
+        spec.reference_exec = true;
+        let reference = try_run_compiled_js(&spec, None).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_measurements_identical(&fused, &reference, &what);
     });
 }

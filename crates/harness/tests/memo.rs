@@ -4,7 +4,10 @@
 //! must never be stored.
 
 use wb_benchmarks::InputSize;
-use wb_core::{ArtifactCache, Measurement, RunFailure, TrapKind};
+use wb_core::{
+    try_run_compiled_js, try_run_native, try_run_wasm, ArtifactCache, Measurement, RunFailure,
+    TrapKind,
+};
 use wb_env::{Browser, Environment, JitMode, Platform, ResourceLimits, TierPolicy};
 use wb_harness::{GridEngine, MemoStats, Run};
 
@@ -17,11 +20,19 @@ enum Backend {
 
 const BACKENDS: [Backend; 3] = [Backend::Wasm, Backend::Js, Backend::Native];
 
+/// The cell measured by wb-core directly: no engine, no memo, no cache.
 fn alone(run: &Run, backend: Backend) -> Result<Measurement, RunFailure> {
     match backend {
-        Backend::Wasm => run.try_wasm_with(None),
-        Backend::Js => run.try_js_with(None),
-        Backend::Native => run.try_native_with(None),
+        Backend::Wasm => try_run_wasm(&run.wasm_spec(), None),
+        Backend::Js => try_run_compiled_js(&run.js_spec(), None),
+        Backend::Native => try_run_native(
+            run.benchmark.source,
+            &run.benchmark.defines(run.size),
+            run.level,
+            "bench_main",
+            run.limits,
+            None,
+        ),
     }
 }
 
@@ -163,6 +174,33 @@ fn failed_cells_are_never_memoized() {
             &alone(&healthy, backend).expect("default limits measure"),
             &format!("{backend:?}"),
         );
-        assert_eq!(engine.failure_count(), 1, "quarantined once, by label");
+        assert_eq!(
+            engine.failure_count(),
+            1,
+            "quarantined once: both rounds are the same cell"
+        );
     }
+}
+
+#[test]
+fn quarantine_keeps_cells_that_differ_only_in_env_apart() {
+    let b = wb_benchmarks::find("trisolv").expect("trisolv in corpus");
+    let mut chrome = Run::new(b, InputSize::XS);
+    chrome.limits = ResourceLimits::default().with_fuel(10);
+    let mut firefox = chrome.clone();
+    firefox.env = Environment::desktop_firefox();
+    let engine = GridEngine::with_settings(None, Some(1)).with_keep_going();
+    for run in [&chrome, &firefox] {
+        let m = engine.wasm(run);
+        assert_eq!(
+            m.output,
+            Vec::<String>::new(),
+            "a starved cell prints nothing"
+        );
+    }
+    let failures = engine.failures();
+    assert_eq!(failures.len(), 2, "two distinct cells, two failures");
+    assert_ne!(failures[0].cell, failures[1].cell, "labels name the env");
+    drop(failures);
+    assert_eq!(engine.failure_count(), 2);
 }

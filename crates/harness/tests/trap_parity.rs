@@ -13,8 +13,8 @@
 //! traps (overflow) where native semantics differ.
 
 use wb_core::{
-    try_run_compiled_js_with, try_run_native_with, try_run_wasm_with, JsSpec, Measurement,
-    RunFailure, TrapKind, WasmSpec,
+    try_run_compiled_js, try_run_native, try_run_wasm, JsSpec, Measurement, RunFailure, TrapKind,
+    WasmSpec,
 };
 use wb_env::ResourceLimits;
 use wb_minic::OptLevel;
@@ -72,7 +72,7 @@ fn wasm_failure(src: &str, level: OptLevel, limits: ResourceLimits, reference: b
     spec.level = level;
     spec.limits = limits;
     spec.reference_exec = reference;
-    try_run_wasm_with(&spec, None).expect_err("fixture must trap on wasm")
+    try_run_wasm(&spec, None).expect_err("fixture must trap on wasm")
 }
 
 fn js_failure(src: &str, level: OptLevel, limits: ResourceLimits, reference: bool) -> RunFailure {
@@ -81,11 +81,11 @@ fn js_failure(src: &str, level: OptLevel, limits: ResourceLimits, reference: boo
     spec.limits = limits;
     spec.reference_exec = reference;
     spec.trap_checks = true;
-    try_run_compiled_js_with(&spec, None).expect_err("fixture must trap on js")
+    try_run_compiled_js(&spec, None).expect_err("fixture must trap on js")
 }
 
 fn native_failure(src: &str, level: OptLevel, limits: ResourceLimits) -> RunFailure {
-    try_run_native_with(src, &[], level, "bench_main", limits, None)
+    try_run_native(src, &[], level, "bench_main", limits, None)
         .expect_err("fixture must trap on native")
 }
 

@@ -8,7 +8,7 @@
 
 use wasmbench::benchmarks::{suite, InputSize};
 use wasmbench::core::apps::context_switch_bench;
-use wasmbench::core::{run_compiled_js, run_wasm, JsSpec, WasmSpec};
+use wasmbench::core::{try_run_compiled_js, try_run_wasm, JsSpec, WasmSpec};
 use wasmbench::env::{Browser, Environment, Platform};
 
 fn main() {
@@ -23,12 +23,12 @@ fn main() {
         let mut wspec = WasmSpec::new(bench.source);
         wspec.defines = defines.clone();
         wspec.env = env;
-        let w = run_wasm(&wspec).expect("wasm");
+        let w = try_run_wasm(&wspec, None).expect("wasm");
 
         let mut jspec = JsSpec::new(bench.source);
         jspec.defines = defines.clone();
         jspec.env = env;
-        let j = run_compiled_js(&jspec).expect("js");
+        let j = try_run_compiled_js(&jspec, None).expect("js");
 
         println!(
             "{:<22} {:>12} {:>12} {:>12} {:>12}",

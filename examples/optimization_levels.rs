@@ -8,7 +8,8 @@
 
 use wasmbench::benchmarks::suite;
 use wasmbench::benchmarks::InputSize;
-use wasmbench::core::{run_compiled_js, run_native, run_wasm, JsSpec, WasmSpec};
+use wasmbench::core::{try_run_compiled_js, try_run_native, try_run_wasm, JsSpec, WasmSpec};
+use wasmbench::env::ResourceLimits;
 use wasmbench::minic::OptLevel;
 
 fn main() {
@@ -30,14 +31,16 @@ fn main() {
         let mut wspec = WasmSpec::new(bench.source);
         wspec.defines = defines.clone();
         wspec.level = level;
-        let w = run_wasm(&wspec).expect("wasm");
+        let w = try_run_wasm(&wspec, None).expect("wasm");
 
         let mut jspec = JsSpec::new(bench.source);
         jspec.defines = defines.clone();
         jspec.level = level;
-        let j = run_compiled_js(&jspec).expect("js");
+        let j = try_run_compiled_js(&jspec, None).expect("js");
 
-        let n = run_native(bench.source, &defines, level, "bench_main").expect("native");
+        let limits = ResourceLimits::default();
+        let n = try_run_native(bench.source, &defines, level, "bench_main", limits, None)
+            .expect("native");
 
         assert_eq!(w.output, j.output);
         assert_eq!(w.output, n.output);
@@ -60,7 +63,7 @@ fn main() {
     let mut ofast = WasmSpec::new(bench.source);
     ofast.defines = defines.clone();
     ofast.level = OptLevel::Ofast;
-    let w = run_wasm(&ofast).expect("wasm");
+    let w = try_run_wasm(&ofast, None).expect("wasm");
     println!(
         "\nFig 7 check: ADPCM -Ofast/-O2 wasm time = {:.3}x (dead stores retained at -Ofast)",
         w.time.0 / baseline_wasm.expect("baseline measured")

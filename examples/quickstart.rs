@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use wasmbench::core::{run_compiled_js, run_wasm, JsSpec, WasmSpec};
+use wasmbench::core::{try_run_compiled_js, try_run_wasm, JsSpec, WasmSpec};
 
 const SOURCE: &str = r#"
 #define N 64
@@ -35,9 +35,9 @@ void bench_main() {
 
 fn main() {
     // WebAssembly: Cheerp profile, -O2, desktop Chrome (study defaults).
-    let wasm = run_wasm(&WasmSpec::new(SOURCE)).expect("wasm run");
+    let wasm = try_run_wasm(&WasmSpec::new(SOURCE), None).expect("wasm run");
     // JavaScript: same source, same compiler, JS backend.
-    let js = run_compiled_js(&JsSpec::new(SOURCE)).expect("js run");
+    let js = try_run_compiled_js(&JsSpec::new(SOURCE), None).expect("js run");
 
     assert_eq!(
         wasm.output, js.output,

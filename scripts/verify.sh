@@ -19,6 +19,11 @@ cargo clippy -p wb-wasm -p wb-wasm-vm -p wb-jsvm --lib -q -- \
 echo "== build =="
 cargo build --release --workspace
 
+echo "== benchmark build (perfbench against the workspace crates) =="
+# Same target dir as perfbench/run.py, so an API change that breaks the
+# benchmark fails here rather than in the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tests =="
 cargo test -q
 

@@ -4,8 +4,10 @@
 
 use wasmbench::benchmarks::{suite, InputSize};
 use wasmbench::core::stats::geomean;
-use wasmbench::core::{run_compiled_js, run_native, run_wasm, JsSpec, WasmSpec};
-use wasmbench::env::{Browser, Environment, JitMode, Platform, TierPolicy, Toolchain};
+use wasmbench::core::{try_run_compiled_js, try_run_native, try_run_wasm, JsSpec, WasmSpec};
+use wasmbench::env::{
+    Browser, Environment, JitMode, Platform, ResourceLimits, TierPolicy, Toolchain,
+};
 use wasmbench::minic::OptLevel;
 
 fn reps() -> Vec<wasmbench::benchmarks::Benchmark> {
@@ -43,8 +45,8 @@ fn wasm_advantage_shrinks_with_input_size_on_chrome() {
     for size in [InputSize::XS, InputSize::M, InputSize::XL] {
         let mut speedups = Vec::new();
         for b in reps() {
-            let w = run_wasm(&wasm_spec(&b, size)).expect("wasm");
-            let j = run_compiled_js(&js_spec(&b, size)).expect("js");
+            let w = try_run_wasm(&wasm_spec(&b, size), None).expect("wasm");
+            let j = try_run_compiled_js(&js_spec(&b, size), None).expect("js");
             assert_eq!(w.output, j.output, "{} {size}", b.name);
             speedups.push(j.time.0 / w.time.0);
         }
@@ -71,8 +73,8 @@ fn firefox_inverts_the_small_input_result() {
             ws.env = firefox;
             let mut js = js_spec(&b, size);
             js.env = firefox;
-            let w = run_wasm(&ws).expect("wasm");
-            let j = run_compiled_js(&js).expect("js");
+            let w = try_run_wasm(&ws, None).expect("wasm");
+            let j = try_run_compiled_js(&js, None).expect("js");
             out.push(j.time.0 / w.time.0);
         }
     }
@@ -87,15 +89,15 @@ fn firefox_inverts_the_small_input_result() {
 fn jit_matters_for_js_not_for_wasm() {
     let b = suite::find("gemm").expect("gemm");
     let mut js = js_spec(&b, InputSize::M);
-    let js_on = run_compiled_js(&js).expect("js");
+    let js_on = try_run_compiled_js(&js, None).expect("js");
     js.jit = JitMode::Disabled;
-    let js_off = run_compiled_js(&js).expect("js");
+    let js_off = try_run_compiled_js(&js, None).expect("js");
     let js_speedup = js_off.time.0 / js_on.time.0;
 
     let mut ws = wasm_spec(&b, InputSize::M);
-    let wasm_default = run_wasm(&ws).expect("wasm");
+    let wasm_default = try_run_wasm(&ws, None).expect("wasm");
     ws.tier_policy = TierPolicy::BasicOnly;
-    let wasm_basic = run_wasm(&ws).expect("wasm");
+    let wasm_basic = try_run_wasm(&ws, None).expect("wasm");
     let wasm_speedup = wasm_basic.time.0 / wasm_default.time.0;
 
     assert!(js_speedup > 5.0, "JS JIT speedup {js_speedup}");
@@ -115,14 +117,21 @@ fn ofast_counterintuition_on_wasm_but_not_x86() {
         let t = |level: OptLevel| {
             let mut s = wasm_spec(&b, InputSize::M);
             s.level = level;
-            run_wasm(&s).expect("wasm").time.0
+            try_run_wasm(&s, None).expect("wasm").time.0
         };
         wasm_ofast_over_oz.push(t(OptLevel::Ofast) / t(OptLevel::Oz));
         let n = |level: OptLevel| {
-            run_native(b.source, &b.defines(InputSize::M), level, "bench_main")
-                .expect("native")
-                .time
-                .0
+            try_run_native(
+                b.source,
+                &b.defines(InputSize::M),
+                level,
+                "bench_main",
+                ResourceLimits::default(),
+                None,
+            )
+            .expect("native")
+            .time
+            .0
         };
         x86_o1_over_o2.push(n(OptLevel::O1) / n(OptLevel::O2));
         x86_ofast_over_o2.push(n(OptLevel::Ofast) / n(OptLevel::O2));
@@ -139,10 +148,10 @@ fn ofast_counterintuition_on_wasm_but_not_x86() {
 #[test]
 fn wasm_memory_grows_js_stays_flat() {
     let b = suite::find("jacobi-2d").expect("jacobi-2d");
-    let wasm_xs = run_wasm(&wasm_spec(&b, InputSize::XS)).expect("wasm");
-    let wasm_xl = run_wasm(&wasm_spec(&b, InputSize::XL)).expect("wasm");
-    let js_xs = run_compiled_js(&js_spec(&b, InputSize::XS)).expect("js");
-    let js_xl = run_compiled_js(&js_spec(&b, InputSize::XL)).expect("js");
+    let wasm_xs = try_run_wasm(&wasm_spec(&b, InputSize::XS), None).expect("wasm");
+    let wasm_xl = try_run_wasm(&wasm_spec(&b, InputSize::XL), None).expect("wasm");
+    let js_xs = try_run_compiled_js(&js_spec(&b, InputSize::XS), None).expect("js");
+    let js_xl = try_run_compiled_js(&js_spec(&b, InputSize::XL), None).expect("js");
 
     assert!(
         wasm_xl.memory_bytes > wasm_xs.memory_bytes + 1024 * 1024,
@@ -160,10 +169,10 @@ fn wasm_memory_grows_js_stays_flat() {
 #[test]
 fn emscripten_faster_but_bigger_than_cheerp() {
     let b = suite::find("gemm").expect("gemm");
-    let cheerp = run_wasm(&wasm_spec(&b, InputSize::M)).expect("wasm");
+    let cheerp = try_run_wasm(&wasm_spec(&b, InputSize::M), None).expect("wasm");
     let mut spec = wasm_spec(&b, InputSize::M);
     spec.toolchain = Toolchain::Emscripten;
-    let emscripten = run_wasm(&spec).expect("wasm");
+    let emscripten = try_run_wasm(&spec, None).expect("wasm");
     let speed = cheerp.time.0 / emscripten.time.0;
     assert!(
         speed > 2.0 && speed < 3.5,
@@ -184,7 +193,7 @@ fn six_environment_orderings() {
     let time = |env: Environment| {
         let mut s = wasm_spec(&b, InputSize::M);
         s.env = env;
-        run_wasm(&s).expect("wasm").time.0
+        try_run_wasm(&s, None).expect("wasm").time.0
     };
     let d = |br| time(Environment::new(br, Platform::Desktop));
     let m = |br| time(Environment::new(br, Platform::Mobile));
@@ -213,9 +222,17 @@ fn transformed_constructs_run_everywhere() {
                  print_int(status);\n\
                  print_long(u.ll);\n\
                }";
-    let w = run_wasm(&WasmSpec::new(src)).expect("wasm");
-    let j = run_compiled_js(&JsSpec::new(src)).expect("js");
-    let n = run_native(src, &[], OptLevel::O2, "bench_main").expect("native");
+    let w = try_run_wasm(&WasmSpec::new(src), None).expect("wasm");
+    let j = try_run_compiled_js(&JsSpec::new(src), None).expect("js");
+    let n = try_run_native(
+        src,
+        &[],
+        OptLevel::O2,
+        "bench_main",
+        ResourceLimits::default(),
+        None,
+    )
+    .expect("native");
     assert_eq!(w.output, j.output);
     assert_eq!(w.output, n.output);
     assert_eq!(w.output[0], "1");
