@@ -2,8 +2,9 @@
 //! and fault injection.
 //!
 //! ```text
-//! wb regen --all                   # every grid experiment, one process
+//! wb regen --all                   # every artifact, one process
 //! wb regen --quick --out results/quick fig5 fig12_13
+//! wb regen table7 > results/table7.txt   # CSVs + the text golden
 //! wb analyze --all                 # full corpus sweep (verify.sh gate)
 //! wb analyze --quick               # 3-kernel smoke subset
 //! wb analyze --kernels gemm,AES    # named kernels only
@@ -12,13 +13,14 @@
 //! wb inject --fault decode --quick # one family, reduced corpus
 //! ```
 //!
-//! `regen` runs the named grid experiments ([`wb_harness::experiments`])
+//! `regen` runs the named artifacts ([`wb_harness::experiments::ALL`])
 //! one after another through one shared grid engine, so a cell that
-//! several of them need is measured once, and writes the same CSVs the
-//! single-experiment binaries write. It takes the grid binaries' flags
-//! (`--filter`, `--quick`, `--out`, `--jobs`, `--retries`, `--no-cache`,
-//! `--stats`, `--reference-exec`, `--keep-going`); Fig 9 is named per
-//! browser (`fig9_chrome`, `fig9_firefox`).
+//! several of them need is measured once, printing each table on stdout
+//! and writing its CSVs. It takes the grid flags (`--filter`, `--quick`,
+//! `--out`, `--jobs`, `--retries`, `--no-cache`, `--stats`,
+//! `--reference-exec`, `--keep-going`); Fig 9 is named per browser
+//! (`fig9_chrome`, `fig9_firefox`). A `--filter` that matches no
+//! benchmark is a usage error.
 //!
 //! `analyze` runs the `wb-analysis` sweep — IR verification between
 //! every pass at every opt level, Wasm type-checking of every emitted
@@ -26,7 +28,8 @@
 //! corpus lints — and prints a one-line summary. Failures of the hard
 //! checks (everything but lints) list their diagnostics and set a
 //! non-zero exit status. `--out` additionally writes the
-//! machine-readable JSON report.
+//! machine-readable JSON report. `--kernels` takes benchmark names
+//! exactly as the corpus spells them; an unknown one is a usage error.
 //!
 //! `inject` runs the fault-injection harness ([`wb_harness::inject`]):
 //! decode corruption, fuel/memory/stack exhaustion and forced worker
@@ -35,13 +38,20 @@
 
 use wb_analysis::{analyze, AnalysisConfig};
 use wb_benchmarks::InputSize;
-use wb_harness::{experiments, Cli, GridEngine};
+use wb_harness::{exit_io, experiments, Cli, GridEngine};
 
-const USAGE: &str = "usage: wb regen [--all | <experiment>...] [--quick] [--filter s] [--out dir] [--jobs N] [--retries N] [--no-cache] [--stats] [--reference-exec] [--keep-going]\n       wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]";
+/// The usage text; the experiment list is [`experiments::ALL`].
+fn usage() -> String {
+    let names: Vec<&str> = experiments::ALL.iter().map(|(n, _)| *n).collect();
+    format!(
+        "usage: wb regen [--all | <experiment>...] [--quick] [--filter s] [--out dir] [--jobs N] [--retries N] [--no-cache] [--stats] [--reference-exec] [--keep-going]\n       experiments: {}\n       wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]",
+        names.join(" ")
+    )
+}
 
 /// Print `message` and the usage, and exit with status 2.
 fn usage_error(message: &str) -> ! {
-    eprintln!("{message}\n{USAGE}");
+    eprintln!("{message}\n{}", usage());
     std::process::exit(2);
 }
 
@@ -98,6 +108,12 @@ fn regen_main(args: &[String]) {
             })
             .collect()
     };
+    if let Some(filter) = cli.get("filter") {
+        if cli.benchmarks().is_empty() {
+            eprintln!("error: --filter '{filter}' matches no benchmark");
+            std::process::exit(2);
+        }
+    }
     let engine = GridEngine::from_cli(&cli);
     // An unwritable `--out` fails now, not after the whole grid ran.
     cli.out_dir();
@@ -111,7 +127,7 @@ fn inject_main(args: &[String]) {
     for flag in args.iter().filter_map(|a| a.strip_prefix("--")) {
         let name = flag.split_once('=').map_or(flag, |(k, _)| k);
         if !matches!(name, "all" | "fault" | "quick") {
-            eprintln!("unknown flag '--{name}'\n{USAGE}");
+            eprintln!("unknown flag '--{name}'\n{}", usage());
             std::process::exit(2);
         }
     }
@@ -163,7 +179,7 @@ fn main() {
             return;
         }
         _ => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     }
@@ -173,7 +189,7 @@ fn main() {
             name,
             "all" | "quick" | "kernels" | "sizes" | "no-fusion" | "out"
         ) {
-            eprintln!("unknown flag '--{name}'\n{USAGE}");
+            eprintln!("unknown flag '--{name}'\n{}", usage());
             std::process::exit(2);
         }
     }
@@ -185,7 +201,20 @@ fn main() {
         AnalysisConfig::full()
     };
     if let Some(list) = cli.get("kernels") {
-        cfg.kernels = list.split(',').map(str::to_string).collect();
+        let known: Vec<&str> = wb_benchmarks::all_benchmarks()
+            .iter()
+            .map(|b| b.name)
+            .collect();
+        cfg.kernels = list
+            .split(',')
+            .map(|kernel| {
+                if !known.contains(&kernel) {
+                    eprintln!("unknown kernel '{kernel}' (known: {})", known.join(", "));
+                    std::process::exit(2);
+                }
+                kernel.to_string()
+            })
+            .collect();
     }
     if let Some(list) = cli.get("sizes") {
         cfg.sizes = list
@@ -233,7 +262,9 @@ fn main() {
     }
 
     if let Some(path) = cli.get("out") {
-        std::fs::write(path, report.to_json()).expect("write report");
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            exit_io("write", std::path::Path::new(path), e);
+        }
         println!("[wrote {path}]");
     }
 

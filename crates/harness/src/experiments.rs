@@ -1,25 +1,37 @@
-//! The grid experiments: one function per paper artifact, each building
-//! its cells, measuring them on a caller-supplied [`GridEngine`] and
-//! emitting its tables through [`Cli::emit`].
+//! Every paper artifact `wb regen` can produce: one function per
+//! artifact, each measuring what it needs and emitting its tables
+//! through [`Cli::emit`].
 //!
-//! A grid binary is [`run_bin`] over one of these; `wb regen` runs any
-//! set of them ([`ALL`]) through a single engine, so the artifacts share
-//! its artifact cache and measurement memo and a cell several of them
-//! need is measured once.
+//! The grid experiments build their cells from `--filter`/`--quick` and
+//! measure them on the caller-supplied [`GridEngine`]; `wb regen` runs
+//! any set of them ([`ALL`]) through that single engine, so the
+//! artifacts share its artifact cache and measurement memo and a cell
+//! several of them need is measured once. The non-grid artifacts
+//! (`ctxswitch`, `table9`, `table10`, `table12`, `ablations`) measure
+//! fixed cells, ignore `--filter` and `--quick`, and exit with one
+//! `error:` line on the first failed run.
 
-use crate::{Cli, GridEngine, Run};
+use crate::{run_or_exit, Cli, GridEngine, Run};
+use wb_benchmarks::apps::{ffmpeg, hyphen, longjs};
+use wb_benchmarks::manual_js::all_manual;
 use wb_benchmarks::{Benchmark, InputSize, Suite};
+use wb_core::apps;
+use wb_core::host::standard_imports;
 use wb_core::report::{kilobytes, millis, ratio, Table};
 use wb_core::stats::{five_number, geomean, mean, speedup_split};
-use wb_core::Measurement;
-use wb_env::{Browser, Environment, JitMode, Platform, TierPolicy, Toolchain};
-use wb_minic::OptLevel;
+use wb_core::{try_run_manual_js, JsSpec, Measurement};
+use wb_env::{
+    calibration, ArithCounts, Browser, Environment, JitMode, Platform, TierPolicy, Toolchain,
+};
+use wb_minic::backend::wasm::{emit_wasm, WasmEmitOptions};
+use wb_minic::{passes, Compiler, OptLevel};
+use wb_wasm_vm::{Instance, WasmVmConfig};
 
-/// A grid experiment: measures its cells on the engine and writes its
-/// CSVs under the CLI's `--out` directory.
+/// An artifact: measures its cells (on the engine, for the grid
+/// experiments) and writes its CSVs under the CLI's `--out` directory.
 pub type Experiment = fn(&Cli, &GridEngine);
 
-/// Every grid experiment by name, in `wb regen --all` order.
+/// Every artifact by name, in `wb regen --all` order.
 pub const ALL: &[(&str, Experiment)] = &[
     ("fig5", fig5),
     ("fig6", fig6),
@@ -32,22 +44,16 @@ pub const ALL: &[(&str, Experiment)] = &[
     ("fig12_13", fig12_13),
     ("fig9_chrome", fig9_chrome),
     ("fig9_firefox", fig9_firefox),
+    ("ctxswitch", ctxswitch),
+    ("table9", table9),
+    ("table10", table10),
+    ("table12", table12),
+    ("ablations", ablations),
 ];
 
 /// The experiment called `name` in [`ALL`].
 pub fn find(name: &str) -> Option<Experiment> {
     ALL.iter().find(|(n, _)| *n == name).map(|&(_, e)| e)
-}
-
-/// The whole `main` of a single-experiment binary: parse the flags,
-/// resolve the `--out` directory before any cell runs, run `experiment`
-/// on a fresh engine, then [`GridEngine::finish_with`].
-pub fn run_bin(name: &str, experiment: Experiment) {
-    let cli = Cli::from_env();
-    let engine = GridEngine::from_cli(&cli);
-    cli.out_dir();
-    experiment(&cli, &engine);
-    engine.finish_with(&cli, name);
 }
 
 /// The four `-O` levels of Figs 5/6, Table 2 and Fig 11; `-O2` (index 1)
@@ -654,12 +660,12 @@ pub fn fig12_13(cli: &Cli, engine: &GridEngine) {
     cli.emit("table8_relative", &rel);
 }
 
-/// [`fig9`] on desktop Chrome (Fig 9 + Tables 3/4).
+/// Fig 9 + Tables 3/4: the input-size sweep on desktop Chrome.
 pub fn fig9_chrome(cli: &Cli, engine: &GridEngine) {
     fig9(cli, engine, Environment::desktop_chrome());
 }
 
-/// [`fig9`] on desktop Firefox (Tables 5/6).
+/// Tables 5/6: the input-size sweep on desktop Firefox.
 pub fn fig9_firefox(cli: &Cli, engine: &GridEngine) {
     fig9(
         cli,
@@ -670,7 +676,7 @@ pub fn fig9_firefox(cli: &Cli, engine: &GridEngine) {
 
 /// Fig 9 + Tables 3/4 (Chrome) and Tables 5/6 (Firefox): execution time
 /// and memory of Wasm and JS across the five input sizes in `env`.
-pub fn fig9(cli: &Cli, engine: &GridEngine, env: Environment) {
+fn fig9(cli: &Cli, engine: &GridEngine, env: Environment) {
     let sizes = cli.sizes();
     let browser = env.browser.name();
 
@@ -773,4 +779,317 @@ pub fn fig9(cli: &Cli, engine: &GridEngine, env: Environment) {
         ]);
     }
     cli.emit(&format!("table4_6_{}", browser.to_lowercase()), &memory);
+}
+
+/// §4.5 context-switch microbenchmark: JS↔Wasm boundary cost per call on
+/// the three desktop browsers (the paper: Firefox ≈ 0.13× of Chrome).
+pub fn ctxswitch(cli: &Cli, _: &GridEngine) {
+    let calls = 1_000;
+    let mut t = Table::new(
+        "§4.5: JS↔Wasm context-switch cost (desktop)",
+        &["browser", "ns per boundary crossing", "relative to Chrome"],
+    );
+    let chrome = run_or_exit(
+        "ctxswitch/Chrome",
+        apps::context_switch_bench(Environment::desktop_chrome(), calls),
+    );
+    for browser in Browser::ALL {
+        let env = Environment::new(browser, Platform::Desktop);
+        let ns = run_or_exit(browser.name(), apps::context_switch_bench(env, calls));
+        t.row(vec![
+            browser.name().into(),
+            format!("{:.1}", ns.0),
+            ratio(ns.0 / chrome.0),
+        ]);
+    }
+    cli.emit("ctxswitch", &t);
+}
+
+/// Table 9: manually-written JavaScript vs Cheerp-generated JavaScript vs
+/// WebAssembly — LOC, execution time and memory on desktop Chrome.
+pub fn table9(cli: &Cli, engine: &GridEngine) {
+    let rows = engine.map(all_manual(), |m| {
+        // Manual implementation.
+        let src = m.full_source();
+        let mut spec = JsSpec::new(&src);
+        spec.entry = "bench_main";
+        let manual = try_run_manual_js(&spec).unwrap_or_else(|f| {
+            eprintln!("error: {}/manual-js [{}]: {f}", m.name, f.error.kind());
+            std::process::exit(1);
+        });
+        // Counterpart compiled versions at the manual benchmark's scale
+        // (XS-ish fixed sizes; the paper used the default inputs).
+        let counterpart = wb_benchmarks::suite::find(m.counterpart).unwrap_or_else(|| {
+            eprintln!("error: {}: unknown counterpart '{}'", m.name, m.counterpart);
+            std::process::exit(2);
+        });
+        let run = Run::new(counterpart, InputSize::S);
+        let cheerp = engine.js(&run);
+        let wasm = engine.wasm(&run);
+        (m, manual, cheerp, wasm)
+    });
+
+    let mut t = Table::new(
+        "Table 9: manually-written JS vs Cheerp JS vs Wasm (Chrome desktop)",
+        &[
+            "Benchmark",
+            "LOC",
+            "Manual ms",
+            "Cheerp ms",
+            "WASM ms",
+            "Manual KB",
+            "Cheerp KB",
+            "WASM KB",
+        ],
+    );
+    for (m, manual, cheerp, wasm) in &rows {
+        t.row(vec![
+            m.name.into(),
+            m.loc().to_string(),
+            millis(manual.time),
+            millis(cheerp.time),
+            millis(wasm.time),
+            kilobytes(manual.memory_bytes),
+            kilobytes(cheerp.memory_bytes),
+            kilobytes(wasm.memory_bytes),
+        ]);
+    }
+    cli.emit("table9", &t);
+}
+
+/// Table 10: the three real-world applications — Long.js (mul/div/rem),
+/// Hyphenopoly (en-us/fr) and FFmpeg — Wasm vs JS execution time.
+pub fn table10(cli: &Cli, _: &GridEngine) {
+    let env = Environment::desktop_chrome();
+    let mut t = Table::new(
+        "Table 10: real-world applications (Chrome desktop)",
+        &[
+            "Benchmark",
+            "Input",
+            "WA Time (ms)",
+            "JS Time (ms)",
+            "Ratio",
+        ],
+    );
+
+    for op in longjs::LongOp::ALL {
+        let w = run_or_exit(
+            &format!("longjs-{}/wasm", op.name()),
+            apps::longjs_wasm(op, env),
+        );
+        let j = run_or_exit(
+            &format!("longjs-{}/js", op.name()),
+            apps::longjs_js(op, env),
+        );
+        t.row(vec![
+            format!("Long.js {}", op.name()),
+            op.input_desc().into(),
+            millis(w.time),
+            millis(j.time),
+            format!("{:.3}", w.time.0 / j.time.0),
+        ]);
+    }
+    for lang in hyphen::Lang::ALL {
+        let w = run_or_exit(
+            &format!("hyphen-{}/wasm", lang.name()),
+            apps::hyphen_wasm(lang, env),
+        );
+        let j = run_or_exit(
+            &format!("hyphen-{}/js", lang.name()),
+            apps::hyphen_js(lang, env),
+        );
+        assert_eq!(w.output, j.output, "hyphenation must agree");
+        t.row(vec![
+            format!("Hyphenopoly {}", lang.name()),
+            format!("{} KB generated text", hyphen::TEXT_BYTES / 1024),
+            millis(w.time),
+            millis(j.time),
+            format!("{:.3}", w.time.0 / j.time.0),
+        ]);
+    }
+    {
+        let w = run_or_exit("ffmpeg/wasm", apps::ffmpeg_wasm(env));
+        let j = run_or_exit("ffmpeg/js", apps::ffmpeg_js(env));
+        t.row(vec![
+            "FFmpeg mp4 to avi".into(),
+            format!(
+                "{} MB stream, {} workers",
+                ffmpeg::STREAM_BYTES / (1024 * 1024),
+                ffmpeg::WORKER_COUNT
+            ),
+            millis(w.time),
+            millis(j.time),
+            format!("{:.3}", w.time.0 / j.time.0),
+        ]);
+    }
+    cli.emit("table10", &t);
+}
+
+/// Table 12 (Appendix D): arithmetic operations executed by the Long.js
+/// programs — JS vs Wasm, by operation kind.
+pub fn table12(cli: &Cli, _: &GridEngine) {
+    let env = Environment::desktop_chrome();
+    let mut t = Table::new(
+        "Table 12: Long.js arithmetic operation counts",
+        &[
+            "Benchmark",
+            "JS/WASM",
+            "ADD",
+            "MUL",
+            "DIV",
+            "REM",
+            "SHIFT",
+            "AND",
+            "OR",
+            "Total",
+        ],
+    );
+    let fmt = |c: &ArithCounts| -> Vec<String> {
+        c.columns()
+            .iter()
+            .map(|v| v.to_string())
+            .chain(std::iter::once(c.total().to_string()))
+            .collect()
+    };
+    for op in longjs::LongOp::ALL {
+        let j = run_or_exit(
+            &format!("longjs-{}/js", op.name()),
+            apps::longjs_js(op, env),
+        );
+        let w = run_or_exit(
+            &format!("longjs-{}/wasm", op.name()),
+            apps::longjs_wasm(op, env),
+        );
+        let mut row = vec![op.name().to_string(), "JS".into()];
+        row.extend(fmt(&j.arith));
+        t.row(row);
+        let mut row = vec![op.name().to_string(), "WASM".into()];
+        row.extend(fmt(&w.arith));
+        t.row(row);
+    }
+    cli.emit("table12", &t);
+}
+
+/// One [`ablations`] cell: compile with a hand-rolled pipeline and
+/// measure the Wasm run, returning (virtual ns, code bytes).
+fn ablated_wasm(
+    source: &str,
+    defines: &[(String, String)],
+    level: OptLevel,
+    vectorize: bool,
+    remat: bool,
+    bug_emulation: bool,
+) -> (f64, u64) {
+    let mut compiler = Compiler::cheerp().opt_level(level).heap_limit(256 << 20);
+    for (k, v) in defines {
+        compiler = compiler.define(k, v.clone());
+    }
+    let (mut hir, _) = compiler.frontend(source).expect("frontend");
+
+    // Re-create the level's pipeline with the ablation toggles.
+    passes::const_fold(&mut hir);
+    passes::const_prop(&mut hir);
+    passes::const_fold(&mut hir);
+    passes::dce(&mut hir);
+    passes::globalopt(&mut hir, bug_emulation && level == OptLevel::Ofast);
+    match level {
+        OptLevel::O1 => passes::const_hoist(&mut hir),
+        _ => {
+            passes::inline(&mut hir, 12);
+            if vectorize {
+                passes::vectorize_loops(&mut hir);
+            }
+            passes::shrinkwrap(&mut hir);
+            if level == OptLevel::Ofast {
+                passes::fast_math(&mut hir);
+            }
+        }
+    }
+    passes::const_fold(&mut hir);
+    passes::dce(&mut hir);
+
+    let opts = WasmEmitOptions {
+        profile: wb_env::CompilerProfile::cheerp(),
+        heap_limit_bytes: Some(256 << 20),
+        remat_int_consts: remat,
+    };
+    let module = emit_wasm(&hir, &opts).expect("emit");
+    wb_wasm::validate(&module).expect("valid");
+    let bytes = wb_wasm::encode_module(&module);
+    let mut config = WasmVmConfig::reference();
+    config.exec_overhead = calibration::toolchain_exec_overhead(Toolchain::Cheerp);
+    let mut inst = Instance::instantiate(&bytes, config, standard_imports(hir.strings.clone()))
+        .expect("instantiate");
+    inst.invoke("bench_main", &[]).expect("run");
+    (inst.report().total.0, bytes.len() as u64)
+}
+
+/// Ablation study (extension): quantify each §4.2 mechanism's
+/// contribution by toggling it off and re-measuring — the design-choice
+/// ablations called out in DESIGN.md.
+///
+/// * **vectorize-scalarization**: `-O2` with vectorization vs the same
+///   pipeline without `-vectorize-loops` (what a Wasm-aware `-O2` would
+///   do), on the Wasm target;
+/// * **constant rematerialization**: `-O2` Wasm emission with and without
+///   the `i32.const; f64.convert` encoding (Fig 8);
+/// * **dead-store bug**: `-Ofast` Wasm with and without the LLVM#37449
+///   emulation (Fig 7), on ADPCM, where the paper observed it.
+pub fn ablations(cli: &Cli, _: &GridEngine) {
+    let mut t = Table::new(
+        "Ablations: each §4.2 mechanism's contribution (Wasm target)",
+        &[
+            "mechanism",
+            "benchmark",
+            "with (ms)",
+            "without (ms)",
+            "with/without time",
+            "size ratio",
+        ],
+    );
+
+    // 1. Vectorize-then-scalarize on a hot float kernel.
+    let gemm = wb_benchmarks::suite::find("gemm").expect("gemm");
+    let defines = gemm.defines(InputSize::M);
+    let (with_t, with_s) = ablated_wasm(gemm.source, &defines, OptLevel::O2, true, true, false);
+    let (wo_t, wo_s) = ablated_wasm(gemm.source, &defines, OptLevel::O2, false, true, false);
+    t.row(vec![
+        "vectorize+scalarize".into(),
+        "gemm".into(),
+        format!("{:.3}", with_t / 1e6),
+        format!("{:.3}", wo_t / 1e6),
+        ratio(with_t / wo_t),
+        ratio(with_s as f64 / wo_s as f64),
+    ]);
+
+    // 2. Constant rematerialization (Fig 8) on seidel-2d, whose inner
+    // loop divides by the integral constant 9.0 every iteration.
+    let cov = wb_benchmarks::suite::find("seidel-2d").expect("seidel-2d");
+    let defines = cov.defines(InputSize::M);
+    let (with_t, with_s) = ablated_wasm(cov.source, &defines, OptLevel::O2, true, true, false);
+    let (wo_t, wo_s) = ablated_wasm(cov.source, &defines, OptLevel::O2, true, false, false);
+    t.row(vec![
+        "const remat (Fig 8)".into(),
+        "seidel-2d".into(),
+        format!("{:.3}", with_t / 1e6),
+        format!("{:.3}", wo_t / 1e6),
+        ratio(with_t / wo_t),
+        ratio(with_s as f64 / wo_s as f64),
+    ]);
+
+    // 3. Dead-store bug emulation (Fig 7) on ADPCM at -Ofast.
+    let adpcm = wb_benchmarks::suite::find("ADPCM").expect("ADPCM");
+    let defines = adpcm.defines(InputSize::M);
+    let (with_t, with_s) = ablated_wasm(adpcm.source, &defines, OptLevel::Ofast, true, true, true);
+    let (wo_t, wo_s) = ablated_wasm(adpcm.source, &defines, OptLevel::Ofast, true, true, false);
+    t.row(vec![
+        "dead-store bug (Fig 7)".into(),
+        "ADPCM".into(),
+        format!("{:.3}", with_t / 1e6),
+        format!("{:.3}", wo_t / 1e6),
+        ratio(with_t / wo_t),
+        ratio(with_s as f64 / wo_s as f64),
+    ]);
+
+    cli.emit("ablations", &t);
 }

@@ -1,43 +1,47 @@
-//! # wb-harness — experiment binaries
+//! # wb-harness — the `wb` front door
 //!
-//! One binary per paper artifact. Each prints the paper's rows as an
-//! aligned text table and writes a CSV under `results/`:
+//! `wb regen <name>…` regenerates paper artifacts: each prints the
+//! paper's rows as an aligned text table on stdout and writes its CSVs
+//! under `results/` (`--out <dir>` to change). The names are the entries
+//! of [`experiments::ALL`]:
 //!
-//! | binary | artifact |
+//! | name | artifact |
 //! |---|---|
 //! | `fig5` | Fig 5 — Wasm/JS time & code size across `-O` levels |
 //! | `fig6` | Fig 6 — x86 control across `-O` levels |
 //! | `table2` | Table 2 — geomean opt-level ratios (JS/Wasm/x86) |
+//! | `fig11` | Fig 11 — five-number summaries of opt-level ratios |
 //! | `compilers` | §4.2.2 — Cheerp vs Emscripten |
-//! | `fig9` | Fig 9 + Tables 3–6 — input-size sweep (per browser) |
+//! | `levels_extended` | extension — all seven `-O` levels on a slice |
 //! | `fig10` | Fig 10 — JIT on/off speedups |
 //! | `table7` | Table 7 — Wasm tier policies on Chrome & Firefox |
-//! | `fig11` | Fig 11 — five-number summaries of opt-level ratios |
 //! | `fig12_13` | Figs 12/13 + Table 8 — six environments |
+//! | `fig9_chrome` | Fig 9 + Tables 3/4 — input-size sweep on Chrome |
+//! | `fig9_firefox` | Tables 5/6 — input-size sweep on Firefox |
 //! | `ctxswitch` | §4.5 — JS↔Wasm context-switch microbenchmark |
 //! | `table9` | Table 9 — manual JS vs Cheerp JS vs Wasm |
 //! | `table10` | Table 10 — Long.js / Hyphenopoly / FFmpeg |
 //! | `table12` | Table 12 — Long.js arithmetic operation counts |
+//! | `ablations` | extension — per-mechanism ablations |
 //!
-//! Shared flags: `--filter <substr>` restricts benchmarks, `--out <dir>`
-//! changes the CSV directory, `--quick` runs a reduced grid, `--jobs N`
-//! bounds the worker pool (default: `available_parallelism`),
-//! `--no-cache` disables the shared artifact cache, `--stats` prints its
-//! hit/miss summary next to the measurement memo's and `--reference-exec`
-//! runs both VMs on their plain per-op interpreters instead of the fused
-//! micro-op engines (the measured numbers are bit-identical either way —
-//! this flag exists to prove exactly that). All binaries execute their
-//! grid through one [`GridEngine`], which compiles each distinct
-//! `(source, defines, level, toolchain, heap)` configuration exactly
-//! once per process and measures each distinct cell exactly once —
-//! measured virtual numbers are unaffected.
+//! Grid flags: `--filter <substr>` restricts benchmarks, `--quick` runs
+//! a reduced grid, `--jobs N` bounds the worker pool (default:
+//! `available_parallelism`), `--no-cache` disables the shared artifact
+//! cache, `--stats` prints its hit/miss summary next to the measurement
+//! memo's and `--reference-exec` runs both VMs on their plain per-op
+//! interpreters instead of the fused micro-op engines (the measured
+//! numbers are bit-identical either way — this flag exists to prove
+//! exactly that). `wb regen` runs every named artifact through one
+//! [`GridEngine`], which compiles each distinct `(source, defines,
+//! level, toolchain, heap)` configuration exactly once per process and
+//! measures each distinct cell exactly once, so a cell that several
+//! artifacts need (Table 2 and Fig 11 re-read Fig 5 ∪ Fig 6; most
+//! artifacts include the default Chrome `-O2` cell) is measured once for
+//! all of them — measured virtual numbers are unaffected.
 //!
-//! The grid binaries (everything above but `ctxswitch`, `table9`,
-//! `table10` and `table12`) are thin wrappers over [`experiments`].
-//! `wb regen [--all | names…]` runs any set of those experiments through
-//! one shared engine, so a cell that several artifacts need (Table 2 and
-//! Fig 11 re-read Fig 5 ∪ Fig 6; most artifacts include the default
-//! Chrome `-O2` cell) is measured once for all of them.
+//! The five non-grid artifacts (`ctxswitch`, `table9`, `table10`,
+//! `table12`, `ablations`) measure fixed cells and ignore `--filter` and
+//! `--quick`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +76,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Unwrap a run result or exit with the one-line diagnostic every
-/// harness binary promises on failure: `error: <label> [<kind>]: <msg>`.
+/// artifact promises on failure: `error: <label> [<kind>]: <msg>`.
 pub fn run_or_exit<T>(label: &str, result: Result<T, RunError>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("error: {label} [{}]: {e}", e.kind());
@@ -166,7 +170,7 @@ impl Cli {
 
     /// Whether `--keep-going` asks the grid to degrade gracefully: a
     /// failed cell is recorded (and annotated in the partial-results
-    /// CSV) instead of aborting the whole binary.
+    /// CSV) instead of aborting the whole run.
     pub fn keep_going(&self) -> bool {
         self.has("keep-going")
     }
@@ -187,23 +191,10 @@ impl Cli {
         }
     }
 
-    /// Browser selector for fig9 (`--browser firefox`).
-    pub fn environment(&self) -> Environment {
-        match self.get("browser").map(|b| b.to_lowercase()) {
-            Some(b) if b.starts_with("fire") => {
-                Environment::new(wb_env::Browser::Firefox, wb_env::Platform::Desktop)
-            }
-            Some(b) if b.starts_with("edge") => {
-                Environment::new(wb_env::Browser::Edge, wb_env::Platform::Desktop)
-            }
-            _ => Environment::desktop_chrome(),
-        }
-    }
-
     /// CSV output directory (`results/` by default), created on demand.
     /// One that cannot be created ends the process with a one-line
-    /// `error:` diagnostic and exit status 1, never a panic; the grid
-    /// binaries resolve it before their first cell runs.
+    /// `error:` diagnostic and exit status 1, never a panic; `wb regen`
+    /// resolves it before the first cell runs.
     pub fn out_dir(&self) -> PathBuf {
         let dir = PathBuf::from(self.get("out").unwrap_or("results"));
         if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -232,7 +223,7 @@ impl Cli {
 
 /// The one-line diagnostic for an output file or directory that cannot
 /// be written; exits with status 1.
-fn exit_io(action: &str, path: &std::path::Path, e: std::io::Error) -> ! {
+pub fn exit_io(action: &str, path: &std::path::Path, e: std::io::Error) -> ! {
     eprintln!("error: cannot {action} {}: {e}", path.display());
     std::process::exit(1);
 }
@@ -327,7 +318,7 @@ where
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The shared execution engine behind every experiment binary: one
+/// The shared execution engine behind the artifacts `wb regen` runs: one
 /// process-wide artifact cache (so identical compiles across grid cells
 /// and across worker threads happen once), a measurement memo (so
 /// identical cells are measured once), a `--jobs` bound for the thread
@@ -472,7 +463,7 @@ impl GridEngine {
 
     /// [`GridEngine::with_settings`] in graceful-degradation mode
     /// (`--keep-going`): failed cells are quarantined instead of
-    /// aborting the binary.
+    /// aborting the run.
     pub fn with_keep_going(mut self) -> Self {
         self.keep_going = true;
         self

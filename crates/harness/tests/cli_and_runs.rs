@@ -1,9 +1,9 @@
-//! Tests for the harness CLI parsing and the `Run` grid-cell helper the
-//! experiment binaries are built from.
+//! Tests for the harness CLI parsing, the `Run` grid-cell helper the
+//! experiments are built from, and the `wb` binary's command line.
 
 use wb_benchmarks::InputSize;
 use wb_core::{try_run_compiled_js, try_run_native, try_run_wasm, ArtifactCache, Measurement};
-use wb_env::{Browser, Environment, Platform};
+use wb_env::Environment;
 use wb_harness::{parallel_map, parallel_map_jobs, Cli, GridEngine, Run};
 
 /// A cell's uncached Wasm measurement.
@@ -94,25 +94,6 @@ fn jobs_flag_parses_and_rejects_zero() {
     assert_eq!(Cli::from_args(["--jobs", "3"]).jobs(), Some(3));
     assert_eq!(Cli::from_args(["--jobs=1"]).jobs(), Some(1));
     assert_eq!(Cli::from_args(["--jobs", "0"]).jobs(), None);
-}
-
-#[test]
-fn browser_flag_selects_the_environment() {
-    let default = Cli::from_args(Vec::<String>::new()).environment();
-    assert_eq!(default, Environment::desktop_chrome());
-
-    let ff = Cli::from_args(["--browser", "firefox"]).environment();
-    assert_eq!(ff, Environment::new(Browser::Firefox, Platform::Desktop));
-    // Prefix + case-insensitive, as documented.
-    let ff2 = Cli::from_args(["--browser", "Fire"]).environment();
-    assert_eq!(ff2, ff);
-
-    let edge = Cli::from_args(["--browser=edge"]).environment();
-    assert_eq!(edge, Environment::new(Browser::Edge, Platform::Desktop));
-
-    // Unknown values fall back to the study default (desktop Chrome).
-    let unknown = Cli::from_args(["--browser", "safari"]).environment();
-    assert_eq!(unknown, Environment::desktop_chrome());
 }
 
 // --- parallel_map ------------------------------------------------------------
@@ -246,85 +227,100 @@ fn larger_inputs_take_longer_on_every_backend() {
     assert!(native(&m).time.0 > native(&xs).time.0);
 }
 
-// --- Binaries ----------------------------------------------------------------
+// --- wb ----------------------------------------------------------------------
 
-/// Run a built binary, returning (exit code, stderr).
-fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String) {
-    let out = std::process::Command::new(bin)
+/// Run `wb` with `args`, returning (exit code, stderr).
+fn run_wb(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wb"))
         .args(args)
         .output()
-        .expect("spawn binary");
+        .expect("spawn wb");
     (
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
 
+/// Assert a one-line `error:` diagnostic with exit status `code`.
+fn assert_one_error_line(args: &[&str], code: i32, prefix: &str) {
+    let (status, stderr) = run_wb(args);
+    assert_eq!(status, Some(code), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with(prefix), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
 #[test]
 fn malformed_numeric_flags_are_usage_errors_not_panics() {
-    for (bin, args) in [
-        (env!("CARGO_BIN_EXE_fig5"), vec!["--jobs", "abc"]),
-        (env!("CARGO_BIN_EXE_fig5"), vec!["--retries", "-1"]),
-        (
-            env!("CARGO_BIN_EXE_wb"),
-            vec!["regen", "--jobs", "abc", "fig5"],
-        ),
+    for args in [
+        ["regen", "--jobs", "abc", "fig5"],
+        ["regen", "--retries", "-1", "fig5"],
     ] {
-        let (code, stderr) = run_bin(bin, &args);
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_one_error_line(&args, 2, "error: --");
     }
 }
 
 #[test]
 fn unwritable_out_dir_is_one_error_line_not_a_panic() {
-    for (bin, args) in [
-        (
-            env!("CARGO_BIN_EXE_fig5"),
-            vec!["--quick", "--filter", "trisolv"],
-        ),
-        (
-            env!("CARGO_BIN_EXE_wb"),
-            vec!["regen", "--quick", "--filter", "trisolv", "fig5"],
-        ),
-    ] {
-        let mut args = args;
-        args.extend(["--out", "/dev/null/x"]);
-        let (code, stderr) = run_bin(bin, &args);
-        assert_eq!(code, Some(1), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let args = [
+        "regen",
+        "--quick",
+        "--filter",
+        "trisolv",
+        "--out",
+        "/dev/null/x",
+        "fig5",
+    ];
+    assert_one_error_line(&args, 1, "error: cannot create /dev/null/x");
+}
+
+#[test]
+fn filter_matching_no_benchmark_is_a_usage_error() {
+    for name in ["table2", "fig5", "fig11", "fig9_chrome", "compilers"] {
+        let dir = std::env::temp_dir().join(format!("wb-nofilter-{}-{name}", std::process::id()));
+        let out = dir.to_str().expect("utf-8 temp dir");
+        let args = ["regen", "--filter", "nosuch", "--out", out, name];
+        assert_one_error_line(&args, 2, "error: --filter 'nosuch' matches no benchmark");
+        assert!(!dir.exists(), "{name}: wrote {}", dir.display());
     }
 }
 
 #[test]
-fn wb_regen_writes_what_the_single_binaries_write() {
+fn analyze_rejects_unknown_kernel_names() {
+    let (code, stderr) = run_wb(&["analyze", "--kernels", "gemm,gemmm"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("unknown kernel 'gemmm'"), "{stderr}");
+    assert!(stderr.contains("gemm, "), "known names listed: {stderr}");
+}
+
+#[test]
+fn analyze_unwritable_report_is_one_error_line_not_a_panic() {
+    let args = [
+        "analyze",
+        "--quick",
+        "--kernels",
+        "trisolv",
+        "--out",
+        "/dev/null/x",
+    ];
+    assert_one_error_line(&args, 1, "error: cannot write /dev/null/x");
+}
+
+#[test]
+fn wb_regen_of_several_artifacts_writes_what_separate_runs_write() {
     let dir = std::env::temp_dir().join(format!("wb-regen-test-{}", std::process::id()));
     let (alone, shared) = (dir.join("alone"), dir.join("shared"));
-    let filter = ["--filter", "trisolv", "--out"];
-    for (bin, out) in [("fig5", &alone), ("fig6", &alone), ("fig11", &alone)] {
-        let path = match bin {
-            "fig5" => env!("CARGO_BIN_EXE_fig5"),
-            "fig6" => env!("CARGO_BIN_EXE_fig6"),
-            _ => env!("CARGO_BIN_EXE_fig11"),
-        };
-        let mut args = filter.to_vec();
-        args.push(out.to_str().expect("utf-8 temp dir"));
-        let (code, stderr) = run_bin(path, &args);
-        assert_eq!(code, Some(0), "{bin}: {stderr}");
-    }
-    let mut args = vec!["regen", "--stats"];
-    args.extend(filter);
-    args.extend([
+    let (alone, shared) = (
+        alone.to_str().expect("utf-8 temp dir"),
         shared.to_str().expect("utf-8 temp dir"),
-        "fig5",
-        "fig6",
-        "fig11",
+    );
+    for name in ["fig5", "fig6", "fig11"] {
+        let (code, stderr) = run_wb(&["regen", "--filter", "trisolv", "--out", alone, name]);
+        assert_eq!(code, Some(0), "{name}: {stderr}");
+    }
+    let (code, stderr) = run_wb(&[
+        "regen", "--stats", "--filter", "trisolv", "--out", shared, "fig5", "fig6", "fig11",
     ]);
-    let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_wb"), &args);
     assert_eq!(code, Some(0), "{stderr}");
     // Fig 11 re-reads every Fig 5 and Fig 6 cell: 8 Wasm/JS + 4 native
     // measured, 12 served from the memo.
@@ -333,15 +329,15 @@ fn wb_regen_writes_what_the_single_binaries_write() {
         "memo line missing or wrong: {stderr}"
     );
     for csv in ["fig5_time", "fig5_code_size", "fig6_time", "fig11"] {
-        let read = |d: &std::path::Path| std::fs::read(d.join(format!("{csv}.csv"))).expect(csv);
-        assert_eq!(read(&alone), read(&shared), "{csv}.csv differs");
+        let read = |d: &str| std::fs::read(format!("{d}/{csv}.csv")).expect(csv);
+        assert_eq!(read(alone), read(shared), "{csv}.csv differs");
     }
     for usage in [
         vec!["regen"],
         vec!["regen", "no_such_figure"],
         vec!["regen", "--bogus"],
     ] {
-        let (code, stderr) = run_bin(env!("CARGO_BIN_EXE_wb"), &usage);
+        let (code, stderr) = run_wb(&usage);
         assert_eq!(code, Some(2), "{usage:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -26,6 +26,9 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path pe
 
 echo "== tests =="
 cargo test -q
+# The root package's tests above are tier-1; the member crates' suites
+# (CLI, memo, cache identity, audits, ...) run here.
+cargo test -q --workspace --release
 
 echo "== static analysis (wb analyze) =="
 ./target/release/wb analyze --all
@@ -39,16 +42,19 @@ cargo test -q -p wb-harness --release --test trap_parity
 echo "== fault injection (wb inject) =="
 ./target/release/wb inject --all
 
-echo "== quick-grid smoke (fig5 + fig12_13: cached, uncached, wb regen) =="
-./target/release/fig5 --quick --out results/quick >/dev/null
-./target/release/fig12_13 --quick --stats --out results/quick >/dev/null
+echo "== quick-grid smoke (wb regen: cached, uncached, reference exec, shared engine) =="
+./target/release/wb regen --quick --out results/quick fig5 >/dev/null
+./target/release/wb regen --quick --stats --out results/quick fig12_13 >/dev/null
 # The cache must not change a byte of any emitted table.
-./target/release/fig12_13 --quick --no-cache --out results/quick >/dev/null
+./target/release/wb regen --quick --no-cache --out results/quick fig12_13 >/dev/null
 # Neither may the fused engine: the plain interpreter is the goldens'
 # reference semantics.
-./target/release/fig5 --quick --reference-exec --out results/quick >/dev/null
+./target/release/wb regen --quick --reference-exec --out results/quick fig5 >/dev/null
 # One process, one shared engine: the memo must not change a byte either.
 ./target/release/wb regen --quick --out results/quick fig5 fig12_13 >/dev/null
+
+echo "== non-grid artifacts (ctxswitch, table9, table10, table12, ablations) =="
+./target/release/wb regen --out results ctxswitch table9 table10 table12 ablations >/dev/null
 
 echo "== golden stability =="
 git diff --exit-code results/
