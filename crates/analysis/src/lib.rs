@@ -82,8 +82,6 @@ pub struct AnalysisConfig {
     pub kernels: Vec<String>,
     /// Dataset sizes the lints sweep.
     pub sizes: Vec<InputSize>,
-    /// Run the fusion cost-equivalence audit.
-    pub fusion: bool,
 }
 
 impl AnalysisConfig {
@@ -93,7 +91,6 @@ impl AnalysisConfig {
         AnalysisConfig {
             kernels: Vec::new(),
             sizes: InputSize::ALL.to_vec(),
-            fusion: true,
         }
     }
 
@@ -102,7 +99,6 @@ impl AnalysisConfig {
         AnalysisConfig {
             kernels: vec!["gemm".into(), "jacobi-2d".into(), "AES".into()],
             sizes: vec![InputSize::XS],
-            fusion: true,
         }
     }
 }
@@ -267,7 +263,7 @@ pub fn analyze(cfg: &AnalysisConfig) -> AnalysisReport {
             }
 
             // Emit and type-check the Wasm artifact at this level.
-            let mut c = Compiler::cheerp().opt_level(level).verify_ir(false);
+            let mut c = Compiler::cheerp().opt_level(level);
             for (k, v) in bench.defines(InputSize::M) {
                 c = c.define(&k, v);
             }
@@ -309,25 +305,23 @@ pub fn analyze(cfg: &AnalysisConfig) -> AnalysisReport {
         }
     }
 
-    if cfg.fusion {
-        for e in wb_wasm_vm::audit::audit_fusion_table() {
-            report.fusion.push(Check {
-                kernel: "wasm-vm".into(),
-                level: "-".into(),
-                subject: e.instance,
-                ok: e.ok,
-                error: e.detail,
-            });
-        }
-        for e in wb_jsvm::audit::audit_fusion_table() {
-            report.fusion.push(Check {
-                kernel: "jsvm".into(),
-                level: "-".into(),
-                subject: e.instance,
-                ok: e.ok,
-                error: e.detail,
-            });
-        }
+    for e in wb_wasm_vm::audit::audit_fusion_table() {
+        report.fusion.push(Check {
+            kernel: "wasm-vm".into(),
+            level: "-".into(),
+            subject: e.instance,
+            ok: e.ok,
+            error: e.detail,
+        });
+    }
+    for e in wb_jsvm::audit::audit_fusion_table() {
+        report.fusion.push(Check {
+            kernel: "jsvm".into(),
+            level: "-".into(),
+            subject: e.instance,
+            ok: e.ok,
+            error: e.detail,
+        });
     }
 
     report
@@ -352,7 +346,6 @@ mod tests {
         let report = analyze(&AnalysisConfig {
             kernels: vec!["gemm".into()],
             sizes: vec![],
-            fusion: false,
         });
         let json = report.to_json();
         assert!(json.starts_with("{\n"));

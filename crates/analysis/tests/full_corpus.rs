@@ -28,6 +28,7 @@ fn whole_corpus_passes_static_analysis() {
     // contract (41 × 7 levels × 3 targets IR runs, 41 × 7 modules).
     assert_eq!(report.ir.len(), 41 * 7 * 3);
     assert_eq!(report.wasm.len(), 41 * 7);
-    assert!(report.fusion.len() >= 800, "{}", report.fusion.len());
+    // 799 Wasm VM + 73 JS VM fused (family × operator) instances.
+    assert_eq!(report.fusion.len(), 872);
     assert!(report.lints.is_empty(), "{:?}", report.lints);
 }

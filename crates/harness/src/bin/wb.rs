@@ -37,14 +37,13 @@
 //! zero uncaught panics.
 
 use wb_analysis::{analyze, AnalysisConfig};
-use wb_benchmarks::InputSize;
 use wb_harness::{exit_io, experiments, Cli, GridEngine};
 
 /// The usage text; the experiment list is [`experiments::ALL`].
 fn usage() -> String {
     let names: Vec<&str> = experiments::ALL.iter().map(|(n, _)| *n).collect();
     format!(
-        "usage: wb regen [--all | <experiment>...] [--quick] [--filter s] [--out dir] [--jobs N] [--retries N] [--no-cache] [--stats] [--reference-exec] [--keep-going]\n       experiments: {}\n       wb analyze [--all|--quick] [--kernels a,b] [--sizes XS,M] [--no-fusion] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]",
+        "usage: wb regen [--all | <experiment>...] [--quick] [--filter s] [--out dir] [--jobs N] [--retries N] [--no-cache] [--stats] [--reference-exec] [--keep-going]\n       experiments: {}\n       wb analyze [--all|--quick] [--kernels a,b] [--out report.json]\n       wb inject [--all|--fault <name>] [--quick]",
         names.join(" ")
     )
 }
@@ -185,10 +184,7 @@ fn main() {
     }
     for flag in args[1..].iter().filter_map(|a| a.strip_prefix("--")) {
         let name = flag.split_once('=').map_or(flag, |(k, _)| k);
-        if !matches!(
-            name,
-            "all" | "quick" | "kernels" | "sizes" | "no-fusion" | "out"
-        ) {
+        if !matches!(name, "all" | "quick" | "kernels" | "out") {
             eprintln!("unknown flag '--{name}'\n{}", usage());
             std::process::exit(2);
         }
@@ -216,26 +212,6 @@ fn main() {
             })
             .collect();
     }
-    if let Some(list) = cli.get("sizes") {
-        cfg.sizes = list
-            .split(',')
-            .map(|s| match s {
-                "XS" => InputSize::XS,
-                "S" => InputSize::S,
-                "M" => InputSize::M,
-                "L" => InputSize::L,
-                "XL" => InputSize::XL,
-                other => {
-                    eprintln!("unknown size '{other}' (use XS,S,M,L,XL)");
-                    std::process::exit(2);
-                }
-            })
-            .collect();
-    }
-    if cli.has("no-fusion") {
-        cfg.fusion = false;
-    }
-
     let t0 = std::time::Instant::now();
     let report = analyze(&cfg);
     let elapsed = t0.elapsed();

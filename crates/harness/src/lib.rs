@@ -454,13 +454,6 @@ impl GridEngine {
         }
     }
 
-    /// [`GridEngine::with_settings`] on the plain per-op interpreters
-    /// (`--reference-exec`).
-    pub fn with_reference_exec(mut self) -> Self {
-        self.reference_exec = true;
-        self
-    }
-
     /// [`GridEngine::with_settings`] in graceful-degradation mode
     /// (`--keep-going`): failed cells are quarantined instead of
     /// aborting the run.

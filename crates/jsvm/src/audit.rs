@@ -1,11 +1,14 @@
 //! Static cost-equivalence audit of the MiniJS fusion overlay.
 //!
 //! Mirror of `wb_wasm_vm::audit` for the JS engine: every fused form in
-//! [`fuse`](crate::fuse) is symbolically expanded for every operator it
-//! can carry (all 11 [`BinKind`]s, all 8 [`CmpKind`]s, every inline-cache
-//! shape) and its charge plan — op-class bumps, Table 12 arithmetic
-//! bumps, typed-array-aware index counts — is compared event-for-event
-//! against the plain interpreter's plans for the constituent opcodes.
+//! [`fuse`](crate::fuse) is instantiated for every operator it can carry
+//! (all 11 [`BinKind`]s, all 8 [`CmpKind`]s, every inline-cache shape),
+//! recognized through the real overlay matcher, and the form's
+//! [`FOp::shape`] — the same shape `exec_fused` charges through — is
+//! expanded (an `Op` part as the carried source op's class and Table 12
+//! counter, index parts as typed-array-aware index counts). The expansion
+//! is compared event-for-event against the plain interpreter's plans for
+//! the constituent opcodes. No fused plan is written out here.
 //!
 //! Two structural facts make the remaining behavior trivially equivalent
 //! and are therefore *documented* rather than audited per instance:
@@ -25,8 +28,9 @@
 //! reference would recompute from the receiver.
 
 use crate::bytecode::{Chunk, Const, Op};
-use crate::fuse::{match_at, BinKind, CmpKind, FOp};
-use wb_env::OpClass;
+use crate::fuse::{match_at, BinKind, CmpKind, FOp, Part, Shape};
+use crate::vm::arith_counter;
+use wb_env::{ArithCounts, OpClass};
 
 /// One audited (family, operator) instance.
 #[derive(Debug, Clone)]
@@ -53,7 +57,7 @@ pub struct FusionAuditEntry {
 enum Ev {
     /// One `tier_counts[tier].bump(class, 1)`.
     Class(OpClass),
-    /// One Table 12 arithmetic-profile bump (field name).
+    /// One Table 12 arithmetic-profile bump (column header).
     Arith(&'static str),
     /// One typed-array-aware index count (`count_index_op` /
     /// `count_cached_index` — identical routing on (typed, tier)).
@@ -67,42 +71,10 @@ impl Ev {
     fn render(&self) -> String {
         match self {
             Ev::Class(c) => format!("class:{c:?}"),
-            Ev::Arith(field) => format!("arith:{field}"),
+            Ev::Arith(column) => format!("arith:{}", column.to_lowercase()),
             Ev::Index { store: false } => "index:load".into(),
             Ev::Index { store: true } => "index:store".into(),
         }
-    }
-}
-
-/// The source opcode a [`BinKind`] was lifted from. Exhaustive — a new
-/// `BinKind` variant fails to compile until the audit covers it.
-fn op_of_bin(op: BinKind) -> Op {
-    match op {
-        BinKind::Add => Op::Add,
-        BinKind::Sub => Op::Sub,
-        BinKind::Mul => Op::Mul,
-        BinKind::Div => Op::Div,
-        BinKind::Mod => Op::Mod,
-        BinKind::BitAnd => Op::BitAnd,
-        BinKind::BitOr => Op::BitOr,
-        BinKind::BitXor => Op::BitXor,
-        BinKind::Shl => Op::Shl,
-        BinKind::Shr => Op::Shr,
-        BinKind::UShr => Op::UShr,
-    }
-}
-
-/// Exhaustive `CmpKind` → source opcode map.
-fn op_of_cmp(op: CmpKind) -> Op {
-    match op {
-        CmpKind::Lt => Op::Lt,
-        CmpKind::Gt => Op::Gt,
-        CmpKind::Le => Op::Le,
-        CmpKind::Ge => Op::Ge,
-        CmpKind::EqEq => Op::EqEq,
-        CmpKind::NotEq => Op::NotEq,
-        CmpKind::StrictEq => Op::StrictEq,
-        CmpKind::StrictNe => Op::StrictNe,
     }
 }
 
@@ -131,33 +103,13 @@ const ALL_CMPS: [CmpKind; 8] = [
     CmpKind::StrictNe,
 ];
 
-/// The `run()` loop's Table 12 bump for a source opcode (mirrors the
-/// arith match in `vm.rs`; ops outside that table bump nothing).
-fn ref_arith(op: &Op) -> Option<&'static str> {
-    match op {
-        Op::Add | Op::Sub => Some("add"),
-        Op::Mul => Some("mul"),
-        Op::Div => Some("div"),
-        Op::Mod => Some("rem"),
-        Op::Shl | Op::Shr | Op::UShr => Some("shift"),
-        Op::BitAnd => Some("and"),
-        Op::BitOr | Op::BitXor => Some("or"),
-        _ => None,
-    }
-}
-
-/// `VmState::bump_bin`'s Table 12 field for a fused binary op —
-/// exhaustive so the audit and the VM can't drift silently.
-fn fused_arith(op: BinKind) -> &'static str {
-    match op {
-        BinKind::Add | BinKind::Sub => "add",
-        BinKind::Mul => "mul",
-        BinKind::Div => "div",
-        BinKind::Mod => "rem",
-        BinKind::Shl | BinKind::Shr | BinKind::UShr => "shift",
-        BinKind::BitAnd => "and",
-        BinKind::BitOr | BinKind::BitXor => "or",
-    }
+/// The Table 12 event `op` charges, read off [`arith_counter`], the
+/// function both the plain loop and fused `Op` parts bump through.
+fn arith_ev(op: &Op) -> Option<Ev> {
+    let mut counts = ArithCounts::default();
+    *arith_counter(&mut counts, op)? += 1;
+    let column = counts.columns().iter().position(|&n| n == 1)?;
+    Some(Ev::Arith(ArithCounts::HEADERS[column]))
 }
 
 /// The plain interpreter's charge plan: per opcode, one step, then its
@@ -171,112 +123,35 @@ fn reference_plan(ops: &[Op]) -> (u64, Vec<Ev>) {
             Op::SetIndex => evs.push(Ev::Index { store: true }),
             other => {
                 evs.push(Ev::Class(other.class()));
-                if let Some(field) = ref_arith(other) {
-                    evs.push(Ev::Arith(field));
-                }
+                evs.extend(arith_ev(other));
             }
         }
     }
     (ops.len() as u64, evs)
 }
 
-/// The fused path's charge plan, transcribing the `exec_fused` arms in
-/// `vm.rs` event-for-event. Wildcard-free: a new `FOp` variant fails to
-/// compile until the audit covers it.
-fn fused_plan(fop: &FOp) -> (u64, Vec<Ev>) {
+/// What `exec_fused` charges for `fop` through `shape` once its guards
+/// held: each part in order, an `Op` part as its carried source op.
+fn shape_plan(shape: &Shape, fop: &FOp) -> Result<Vec<Ev>, String> {
     let mut evs = Vec::new();
-    let steps = match fop {
-        FOp::LLBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            3
-        }
-        FOp::LLBinStore { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            evs.push(Ev::Class(OpClass::Local));
-            4
-        }
-        FOp::LCBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            3
-        }
-        FOp::LCBinStore { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(op.class()));
-            evs.push(Ev::Arith(fused_arith(*op)));
-            evs.push(Ev::Class(OpClass::Local));
-            4
-        }
-        FOp::CStore { .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        FOp::CmpJf { .. } => {
-            evs.push(Ev::Class(OpClass::Compare));
-            evs.push(Ev::Class(OpClass::Branch));
-            2
-        }
-        FOp::LLCmpJf { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Compare));
-            evs.push(Ev::Class(OpClass::Branch));
-            4
-        }
-        FOp::LCCmpJf { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(OpClass::Compare));
-            evs.push(Ev::Class(OpClass::Branch));
-            4
-        }
-        FOp::LLGetIndex { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Index { store: false });
-            3
-        }
-        FOp::GetIndexIc { .. } => {
-            evs.push(Ev::Index { store: false });
-            1
-        }
-        FOp::SetIndexIc { pop, .. } => {
-            evs.push(Ev::Index { store: true });
-            if *pop {
-                evs.push(Ev::Class(OpClass::Other));
+    for part in shape.parts {
+        match part {
+            Part::Local => evs.push(Ev::Class(OpClass::Local)),
+            Part::Const => evs.push(Ev::Class(OpClass::Const)),
+            Part::Branch => evs.push(Ev::Class(OpClass::Branch)),
+            Part::Pop => evs.push(Ev::Class(OpClass::Other)),
+            Part::Load => evs.push(Ev::Index { store: false }),
+            Part::Store => evs.push(Ev::Index { store: true }),
+            Part::Op => {
+                let op = fop
+                    .carried()
+                    .ok_or_else(|| format!("{fop:?} has an Op part but no operator"))?;
+                evs.push(Ev::Class(op.class()));
+                evs.extend(arith_ev(&op));
             }
-            1 + *pop as u64
         }
-    };
-    (steps, evs)
-}
-
-/// Family name of a fused form (wildcard-free on purpose).
-fn family_of(fop: &FOp) -> &'static str {
-    match fop {
-        FOp::LLBin { .. } => "LLBin",
-        FOp::LLBinStore { .. } => "LLBinStore",
-        FOp::LCBin { .. } => "LCBin",
-        FOp::LCBinStore { .. } => "LCBinStore",
-        FOp::CStore { .. } => "CStore",
-        FOp::CmpJf { .. } => "CmpJf",
-        FOp::LLCmpJf { .. } => "LLCmpJf",
-        FOp::LCCmpJf { .. } => "LCCmpJf",
-        FOp::LLGetIndex { .. } => "LLGetIndex",
-        FOp::GetIndexIc { .. } => "GetIndexIc",
-        FOp::SetIndexIc { pop: false, .. } => "SetIndexIc",
-        FOp::SetIndexIc { pop: true, .. } => "SetIndexPopIc",
     }
+    Ok(evs)
 }
 
 /// Every (family, constituent-sequence) instance the overlay builder can
@@ -286,7 +161,7 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
     let mut out = Vec::new();
     let ll = |i| Op::LoadLocal(i);
     for &bin in &ALL_BINS {
-        let b = op_of_bin(bin);
+        let b = bin.op();
         let label = format!("{bin:?}");
         out.push(("LLBin", label.clone(), vec![ll(0), ll(1), b.clone()]));
         out.push((
@@ -302,7 +177,7 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
         ));
     }
     for &cmp in &ALL_CMPS {
-        let c = op_of_cmp(cmp);
+        let c = cmp.op();
         let label = format!("{cmp:?}");
         out.push(("CmpJf", label.clone(), vec![c.clone(), Op::JumpIfFalse(1)]));
         out.push((
@@ -330,53 +205,69 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Op>)> {
 
 /// Audit every fused form the MiniJS overlay can emit. An entry is `ok`
 /// when the overlay builder recognizes the constituents as the expected
-/// family at the full width and the fused charge plan equals the plain
-/// interpreter's concatenation event-for-event.
+/// family at the full width and the events `exec_fused` charges through
+/// the form's `FOp::shape()` equal the plain interpreter's concatenation
+/// event-for-event.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
-    let mut entries = Vec::new();
-    for (family, label, ops) in enumerate_instances() {
-        let chunk = Chunk {
-            code: ops.clone(),
-            consts: vec![Const::Num(1.0)],
-            ..Default::default()
-        };
-        let mut next_ic = 0u32;
-        let mut detail = None;
-        let mut fused_rendered = Vec::new();
-        let (ref_steps, ref_evs) = reference_plan(&ops);
+    enumerate_instances()
+        .into_iter()
+        .map(|(family, label, ops)| audit_instance(family, &label, &ops, FOp::shape))
+        .collect()
+}
 
-        match match_at(&chunk, 0, &mut next_ic) {
-            Some(fop) if fop.width() == ops.len() && family_of(&fop) == family => {
-                let (steps, evs) = fused_plan(&fop);
-                fused_rendered = evs.iter().map(Ev::render).collect();
-                if steps != ref_steps {
-                    detail = Some(format!("step total {steps} != reference {ref_steps}"));
-                } else if evs != ref_evs {
-                    detail = Some("charge plans differ".into());
+/// Audit one instance, reading the fused form's shape through `shape_of`
+/// (`FOp::shape`, or a deliberately wrong map in tests).
+fn audit_instance(
+    family: &'static str,
+    label: &str,
+    ops: &[Op],
+    shape_of: fn(&FOp) -> &'static Shape,
+) -> FusionAuditEntry {
+    let chunk = Chunk {
+        code: ops.to_vec(),
+        consts: vec![Const::Num(1.0)],
+        ..Default::default()
+    };
+    let mut next_ic = 0u32;
+    let mut detail = None;
+    let mut fused_rendered = Vec::new();
+    let (ref_steps, ref_evs) = reference_plan(ops);
+
+    match match_at(&chunk, 0, &mut next_ic).map(|fop| (shape_of(&fop), fop)) {
+        Some((shape, fop)) if fop.width() == ops.len() && shape.family == family => {
+            match shape_plan(shape, &fop) {
+                Ok(evs) => {
+                    fused_rendered = evs.iter().map(Ev::render).collect();
+                    let steps = shape.parts.len() as u64;
+                    if evs != ref_evs {
+                        detail = Some("charge plans differ".into());
+                    } else if steps != ref_steps {
+                        detail = Some(format!("step total {steps} != reference {ref_steps}"));
+                    }
                 }
+                Err(e) => detail = Some(e),
             }
-            Some(fop) => {
-                detail = Some(format!(
-                    "overlay mismatch: got {} at width {}, expected {family} at width {}",
-                    family_of(&fop),
-                    fop.width(),
-                    ops.len()
-                ));
-            }
-            None => detail = Some("constituents did not fuse".into()),
         }
-
-        entries.push(FusionAuditEntry {
-            family,
-            instance: format!("{family}[{label}]"),
-            constituents: ops.iter().map(|o| format!("{o:?}")).collect(),
-            fused_charges: fused_rendered,
-            reference_charges: ref_evs.iter().map(Ev::render).collect(),
-            ok: detail.is_none(),
-            detail,
-        });
+        Some((shape, fop)) => {
+            detail = Some(format!(
+                "overlay mismatch: got {} at width {}, expected {family} at width {}",
+                shape.family,
+                fop.width(),
+                ops.len()
+            ));
+        }
+        None => detail = Some("constituents did not fuse".into()),
     }
-    entries
+
+    FusionAuditEntry {
+        family,
+        instance: format!("{family}[{label}]"),
+        constituents: ops.iter().map(|o| format!("{o:?}")).collect(),
+        fused_charges: fused_rendered,
+        reference_charges: ref_evs.iter().map(Ev::render).collect(),
+        ok: detail.is_none(),
+        detail,
+    }
 }
 
 #[cfg(test)]
@@ -440,5 +331,30 @@ mod tests {
             ]
         );
         assert_eq!(div.fused_charges, div.reference_charges);
+    }
+
+    #[test]
+    fn a_shape_missing_its_trailing_store_local_is_caught() {
+        fn truncated(fop: &FOp) -> &'static Shape {
+            static LLBINSTORE_NO_STORE: Shape = Shape {
+                family: "LLBinStore",
+                parts: &[Part::Local, Part::Local, Part::Op],
+            };
+            match fop {
+                FOp::LLBinStore { .. } => &LLBINSTORE_NO_STORE,
+                other => other.shape(),
+            }
+        }
+        let ops = [
+            Op::LoadLocal(0),
+            Op::LoadLocal(1),
+            Op::Add,
+            Op::StoreLocal(2),
+        ];
+        let good = audit_instance("LLBinStore", "Add", &ops, FOp::shape);
+        assert!(good.ok, "{:?}", good.detail);
+        let bad = audit_instance("LLBinStore", "Add", &ops, truncated);
+        assert!(!bad.ok);
+        assert_eq!(bad.detail.as_deref(), Some("charge plans differ"));
     }
 }

@@ -19,6 +19,11 @@
 //!   charging anything*, so the virtual-cost trace is identical to the
 //!   reference interpreter's.
 //!
+//! Each fused family declares its constituents once, as a [`Shape`]
+//! returned by [`FOp::shape`]: `exec_fused` charges through it after its
+//! guards, and the auditor in `audit.rs` expands it against the plain
+//! interpreter.
+//!
 //! Fusion eligibility mirrors the wasm engine's cost-equivalence
 //! invariant (see `wb-wasm-vm/src/fuse.rs` and DESIGN.md): a fused
 //! group's fast path must not allocate, must not grow heap bytes, and
@@ -68,18 +73,21 @@ impl BinKind {
         })
     }
 
-    /// Cost-model class — must match [`Op::class`] of the source op.
-    pub(crate) fn class(self) -> wb_env::OpClass {
+    /// The source op, which a fused `Op` part charges like the plain loop.
+    #[inline]
+    pub(crate) fn op(self) -> Op {
         match self {
-            BinKind::Add | BinKind::Sub => wb_env::OpClass::FloatAlu,
-            BinKind::Mul => wb_env::OpClass::FloatMul,
-            BinKind::Div | BinKind::Mod => wb_env::OpClass::FloatDiv,
-            BinKind::BitAnd
-            | BinKind::BitOr
-            | BinKind::BitXor
-            | BinKind::Shl
-            | BinKind::Shr
-            | BinKind::UShr => wb_env::OpClass::IntAlu,
+            BinKind::Add => Op::Add,
+            BinKind::Sub => Op::Sub,
+            BinKind::Mul => Op::Mul,
+            BinKind::Div => Op::Div,
+            BinKind::Mod => Op::Mod,
+            BinKind::BitAnd => Op::BitAnd,
+            BinKind::BitOr => Op::BitOr,
+            BinKind::BitXor => Op::BitXor,
+            BinKind::Shl => Op::Shl,
+            BinKind::Shr => Op::Shr,
+            BinKind::UShr => Op::UShr,
         }
     }
 
@@ -130,6 +138,21 @@ impl CmpKind {
             Op::StrictNe => CmpKind::StrictNe,
             _ => return None,
         })
+    }
+
+    /// The source op, which a fused `Op` part charges like the plain loop.
+    #[inline]
+    pub(crate) fn op(self) -> Op {
+        match self {
+            CmpKind::Lt => Op::Lt,
+            CmpKind::Gt => Op::Gt,
+            CmpKind::Le => Op::Le,
+            CmpKind::Ge => Op::Ge,
+            CmpKind::EqEq => Op::EqEq,
+            CmpKind::NotEq => Op::NotEq,
+            CmpKind::StrictEq => Op::StrictEq,
+            CmpKind::StrictNe => Op::StrictNe,
+        }
     }
 
     /// Number-operands fast path: reference semantics for `Num`/`Num`
@@ -195,18 +218,88 @@ pub(crate) enum FOp {
     SetIndexIc { ic: u32, pop: bool },
 }
 
+/// One constituent of a fused op, as the cost model charges it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Part {
+    /// `LoadLocal` or `StoreLocal`: class `Local`.
+    Local,
+    /// A numeric `Const`: class `Const`.
+    Const,
+    /// The carried [`BinKind`] or [`CmpKind`]: its source op's class and
+    /// Table 12 counter ([`FOp::carried`]).
+    Op,
+    /// `JumpIfFalse`: class `Branch`.
+    Branch,
+    /// `GetIndex`, counted by typedness and tier like the plain handler.
+    Load,
+    /// `SetIndex`, counted by typedness and tier like the plain handler.
+    Store,
+    /// `Pop`: class `Other`.
+    Pop,
+}
+
+/// A fused family's constituents in source order. `exec_fused` charges
+/// them once the guards held; a fast path cannot fail after that, so
+/// there is no trap split as in the Wasm VM. The auditor expands the same
+/// shape against the plain interpreter.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// Family name, as the auditor reports it.
+    pub(crate) family: &'static str,
+    /// The constituents.
+    pub(crate) parts: &'static [Part],
+}
+
 impl FOp {
-    /// Source ops this entry covers (pc advance on the fused path).
-    pub(crate) fn width(&self) -> usize {
+    /// The charge shape of this fused op. Wildcard-free, so a new variant
+    /// fails to compile until it declares its shape.
+    #[inline(always)]
+    pub(crate) fn shape(&self) -> &'static Shape {
+        macro_rules! shape {
+            ($family:literal, [$($part:ident),*]) => {
+                &Shape {
+                    family: $family,
+                    parts: &[$(Part::$part),*],
+                }
+            };
+        }
         match self {
-            FOp::LLBinStore { .. }
-            | FOp::LCBinStore { .. }
-            | FOp::LLCmpJf { .. }
-            | FOp::LCCmpJf { .. } => 4,
-            FOp::LLBin { .. } | FOp::LCBin { .. } | FOp::LLGetIndex { .. } => 3,
-            FOp::CStore { .. } | FOp::CmpJf { .. } => 2,
-            FOp::SetIndexIc { pop, .. } => 1 + *pop as usize,
-            FOp::GetIndexIc { .. } => 1,
+            FOp::LLBin { .. } => shape!("LLBin", [Local, Local, Op]),
+            FOp::LLBinStore { .. } => shape!("LLBinStore", [Local, Local, Op, Local]),
+            FOp::LCBin { .. } => shape!("LCBin", [Local, Const, Op]),
+            FOp::LCBinStore { .. } => shape!("LCBinStore", [Local, Const, Op, Local]),
+            FOp::CStore { .. } => shape!("CStore", [Const, Local]),
+            FOp::CmpJf { .. } => shape!("CmpJf", [Op, Branch]),
+            FOp::LLCmpJf { .. } => shape!("LLCmpJf", [Local, Local, Op, Branch]),
+            FOp::LCCmpJf { .. } => shape!("LCCmpJf", [Local, Const, Op, Branch]),
+            FOp::LLGetIndex { .. } => shape!("LLGetIndex", [Local, Local, Load]),
+            FOp::GetIndexIc { .. } => shape!("GetIndexIc", [Load]),
+            FOp::SetIndexIc { pop: false, .. } => shape!("SetIndexIc", [Store]),
+            FOp::SetIndexIc { pop: true, .. } => shape!("SetIndexPopIc", [Store, Pop]),
+        }
+    }
+
+    /// Source ops this entry covers (pc advance on the fused path).
+    #[inline(always)]
+    pub(crate) fn width(&self) -> usize {
+        self.shape().parts.len()
+    }
+
+    /// The source op an `Op` part charges, if this family carries one.
+    #[inline(always)]
+    pub(crate) fn carried(&self) -> Option<Op> {
+        match *self {
+            FOp::LLBin { op, .. }
+            | FOp::LLBinStore { op, .. }
+            | FOp::LCBin { op, .. }
+            | FOp::LCBinStore { op, .. } => Some(op.op()),
+            FOp::CmpJf { op, .. } | FOp::LLCmpJf { op, .. } | FOp::LCCmpJf { op, .. } => {
+                Some(op.op())
+            }
+            FOp::CStore { .. }
+            | FOp::LLGetIndex { .. }
+            | FOp::GetIndexIc { .. }
+            | FOp::SetIndexIc { .. } => None,
         }
     }
 }

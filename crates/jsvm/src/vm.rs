@@ -3,7 +3,7 @@
 
 use crate::bytecode::{Const, Op, Program};
 use crate::error::JsError;
-use crate::fuse::{build_overlays, BinKind, FOp, FusedChunk, IcEntry, IcKind};
+use crate::fuse::{build_overlays, FOp, FusedChunk, IcEntry, IcKind, Part};
 use crate::heap::{Heap, HeapStats, Obj};
 use crate::stdlib::{sha256, DetRng};
 use crate::value::{format_number, Builtin, JsValue, Value};
@@ -599,17 +599,7 @@ impl JsVm {
                 // Typed-array index ops are counted inside their handler;
                 // everything else is charged here.
                 if !matches!(op, Op::GetIndex | Op::SetIndex) {
-                    self.tier_counts[tier as usize].bump(op.class(), 1);
-                }
-                match op {
-                    Op::Add | Op::Sub => self.arith.add += 1,
-                    Op::Mul => self.arith.mul += 1,
-                    Op::Div => self.arith.div += 1,
-                    Op::Mod => self.arith.rem += 1,
-                    Op::Shl | Op::Shr | Op::UShr => self.arith.shift += 1,
-                    Op::BitAnd => self.arith.and += 1,
-                    Op::BitOr | Op::BitXor => self.arith.or += 1,
-                    _ => {}
+                    self.charge_op(tier, op);
                 }
 
                 match op {
@@ -918,9 +908,10 @@ impl JsVm {
     /// Execute one fused micro-op if its fast-path guards hold.
     ///
     /// Returns `Ok(Some(next_pc))` when the fused form ran with every
-    /// constituent's virtual charge applied, or `Ok(None)` when a guard
-    /// failed — in which case *nothing* was charged and the caller must
-    /// execute the plain op at `pc`.
+    /// constituent's virtual charge applied (by [`Self::charge_fused`],
+    /// through the form's shape), or `Ok(None)` when a guard failed — in
+    /// which case *nothing* was charged and the caller must execute the
+    /// plain op at `pc`.
     ///
     /// Cost-equivalence invariant (see DESIGN.md): fast paths never
     /// allocate, never grow heap bytes and never note hotness, so GC
@@ -936,83 +927,55 @@ impl JsVm {
         tier: Tier,
         locals_base: usize,
     ) -> Result<Option<usize>, JsError> {
-        macro_rules! steps {
-            ($n:expr) => {
-                self.steps += $n;
-                if self.steps > self.config.limits.fuel_budget() {
-                    return Err(JsError::StepBudgetExhausted);
-                }
-            };
-        }
-        macro_rules! bump {
-            ($class:ident, $n:expr) => {
-                self.tier_counts[tier as usize].bump(wb_env::OpClass::$class, $n)
-            };
-        }
         let local = |vm: &Self, i: u16| vm.locals[locals_base + i as usize];
+        let next = pc + fop.width();
         match fop {
             FOp::LLBin { a, b, op } => {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                steps!(3);
-                bump!(Local, 2);
-                self.bump_bin(tier, op);
+                self.charge_fused(fop, tier, false)?;
                 self.stack.push(Value::Num(op.apply(x, y)));
-                Ok(Some(pc + 3))
+                Ok(Some(next))
             }
             FOp::LLBinStore { a, b, op, dst } => {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                steps!(4);
-                bump!(Local, 2);
-                self.bump_bin(tier, op);
-                bump!(Local, 1);
+                self.charge_fused(fop, tier, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, y));
-                Ok(Some(pc + 4))
+                Ok(Some(next))
             }
             FOp::LCBin { a, c, op } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(3);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                self.bump_bin(tier, op);
+                self.charge_fused(fop, tier, false)?;
                 self.stack.push(Value::Num(op.apply(x, c)));
-                Ok(Some(pc + 3))
+                Ok(Some(next))
             }
             FOp::LCBinStore { a, c, op, dst } => {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(4);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                self.bump_bin(tier, op);
-                bump!(Local, 1);
+                self.charge_fused(fop, tier, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(op.apply(x, c));
-                Ok(Some(pc + 4))
+                Ok(Some(next))
             }
             FOp::CStore { c, dst } => {
-                steps!(2);
-                bump!(Const, 1);
-                bump!(Local, 1);
+                self.charge_fused(fop, tier, false)?;
                 self.locals[locals_base + dst as usize] = Value::Num(c);
-                Ok(Some(pc + 2))
+                Ok(Some(next))
             }
             FOp::CmpJf { op, target } => {
                 let n = self.stack.len();
                 let (Value::Num(x), Value::Num(y)) = (self.stack[n - 2], self.stack[n - 1]) else {
                     return Ok(None);
                 };
-                steps!(2);
-                bump!(Compare, 1);
-                bump!(Branch, 1);
+                self.charge_fused(fop, tier, false)?;
                 self.stack.truncate(n - 2);
                 Ok(Some(if op.apply(x, y) {
-                    pc + 2
+                    next
                 } else {
                     target as usize
                 }))
@@ -1021,12 +984,9 @@ impl JsVm {
                 let (Value::Num(x), Value::Num(y)) = (local(self, a), local(self, b)) else {
                     return Ok(None);
                 };
-                steps!(4);
-                bump!(Local, 2);
-                bump!(Compare, 1);
-                bump!(Branch, 1);
+                self.charge_fused(fop, tier, false)?;
                 Ok(Some(if op.apply(x, y) {
-                    pc + 4
+                    next
                 } else {
                     target as usize
                 }))
@@ -1035,13 +995,9 @@ impl JsVm {
                 let Value::Num(x) = local(self, a) else {
                     return Ok(None);
                 };
-                steps!(4);
-                bump!(Local, 1);
-                bump!(Const, 1);
-                bump!(Compare, 1);
-                bump!(Branch, 1);
+                self.charge_fused(fop, tier, false)?;
                 Ok(Some(if op.apply(x, c) {
-                    pc + 4
+                    next
                 } else {
                     target as usize
                 }))
@@ -1056,12 +1012,10 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, n) else {
                     return Ok(None);
                 };
-                steps!(3);
-                bump!(Local, 2);
-                self.count_cached_index(tier, typed, false);
+                self.charge_fused(fop, tier, typed)?;
                 self.ic_hits += 1;
                 self.stack.push(v);
-                Ok(Some(pc + 3))
+                Ok(Some(next))
             }
             FOp::GetIndexIc { ic } => {
                 let n = self.stack.len();
@@ -1074,12 +1028,11 @@ impl JsVm {
                 let Some((v, typed)) = self.ic_probe_load(ic, r, num) else {
                     return Ok(None);
                 };
-                steps!(1);
-                self.count_cached_index(tier, typed, false);
+                self.charge_fused(fop, tier, typed)?;
                 self.ic_hits += 1;
                 self.stack.truncate(n - 2);
                 self.stack.push(v);
-                Ok(Some(pc + 1))
+                Ok(Some(next))
             }
             FOp::SetIndexIc { ic, pop } => {
                 let n = self.stack.len();
@@ -1098,9 +1051,7 @@ impl JsVm {
                     self.ic_refill(ic, r);
                     return Ok(None);
                 }
-                let w = 1 + pop as usize;
-                steps!(w as u64);
-                self.count_cached_index(tier, true, true);
+                self.charge_fused(fop, tier, true)?;
                 self.ic_hits += 1;
                 if i >= 0.0 && i.fract() == 0.0 {
                     let idx = i as usize;
@@ -1129,31 +1080,58 @@ impl JsVm {
                     }
                 }
                 if pop {
-                    // The SetIndex pushes `val`; the fused Pop (class
-                    // Other) immediately removes it again.
-                    bump!(Other, 1);
+                    // The SetIndex pushes `val`; the fused Pop removes it.
                     self.stack.truncate(n - 3);
                 } else {
                     self.stack[n - 3] = val;
                     self.stack.truncate(n - 2);
                 }
-                Ok(Some(pc + w))
+                Ok(Some(next))
             }
         }
     }
 
-    /// Charge class and Table 12 arithmetic for one fused binary op —
-    /// the same bumps the plain loop applies for the source op.
-    fn bump_bin(&mut self, tier: Tier, op: BinKind) {
+    /// Charge a fused op whose guards held, through its [`FOp::shape`]:
+    /// the group's steps, then each part at `tier`. An `Op` part charges
+    /// the carried source op like the plain loop; index parts count by
+    /// `typed`, the receiver's typedness from the inline cache.
+    #[inline(always)]
+    fn charge_fused(&mut self, fop: FOp, tier: Tier, typed: bool) -> Result<(), JsError> {
+        let shape = fop.shape();
+        self.steps += shape.parts.len() as u64;
+        if self.steps > self.config.limits.fuel_budget() {
+            return Err(JsError::StepBudgetExhausted);
+        }
+        for part in shape.parts {
+            let class = match part {
+                Part::Local => wb_env::OpClass::Local,
+                Part::Const => wb_env::OpClass::Const,
+                Part::Branch => wb_env::OpClass::Branch,
+                Part::Pop => wb_env::OpClass::Other,
+                Part::Op => {
+                    if let Some(op) = fop.carried() {
+                        self.charge_op(tier, &op);
+                    }
+                    continue;
+                }
+                Part::Load | Part::Store => {
+                    self.count_cached_index(tier, typed, *part == Part::Store);
+                    continue;
+                }
+            };
+            self.tier_counts[tier as usize].bump(class, 1);
+        }
+        Ok(())
+    }
+
+    /// Charge one source op's class and Table 12 counter at `tier`: the
+    /// plain loop's charge for every op but the index ops, and a fused
+    /// `Op` part's.
+    #[inline(always)]
+    fn charge_op(&mut self, tier: Tier, op: &Op) {
         self.tier_counts[tier as usize].bump(op.class(), 1);
-        match op {
-            BinKind::Add | BinKind::Sub => self.arith.add += 1,
-            BinKind::Mul => self.arith.mul += 1,
-            BinKind::Div => self.arith.div += 1,
-            BinKind::Mod => self.arith.rem += 1,
-            BinKind::Shl | BinKind::Shr | BinKind::UShr => self.arith.shift += 1,
-            BinKind::BitAnd => self.arith.and += 1,
-            BinKind::BitOr | BinKind::BitXor => self.arith.or += 1,
+        if let Some(counter) = arith_counter(&mut self.arith, op) {
+            *counter += 1;
         }
     }
 
@@ -1768,6 +1746,23 @@ impl JsVm {
 enum MethodOutcome {
     Value(Value),
     EnterFrame,
+}
+
+/// The Table 12 counter a source op bumps, if it is arithmetic. The one
+/// definition both the plain loop and fused `Op` parts charge through
+/// (via `JsVm::charge_op`), and that the fusion auditor reads.
+#[inline(always)]
+pub(crate) fn arith_counter<'a>(arith: &'a mut ArithCounts, op: &Op) -> Option<&'a mut u64> {
+    Some(match op {
+        Op::Add | Op::Sub => &mut arith.add,
+        Op::Mul => &mut arith.mul,
+        Op::Div => &mut arith.div,
+        Op::Mod => &mut arith.rem,
+        Op::Shl | Op::Shr | Op::UShr => &mut arith.shift,
+        Op::BitAnd => &mut arith.and,
+        Op::BitOr | Op::BitXor => &mut arith.or,
+        _ => return None,
+    })
 }
 
 /// JS `ToInt32` on an already-numeric value. The single definition both

@@ -58,7 +58,6 @@ pub struct Compiler {
     level: OptLevel,
     defines: HashMap<String, String>,
     heap_limit: Option<u64>,
-    verify_ir: bool,
     trap_checks: bool,
 }
 
@@ -70,9 +69,6 @@ impl Compiler {
             level: OptLevel::O2,
             defines: HashMap::new(),
             heap_limit: None,
-            // Debug builds always verify the IR between passes; release
-            // builds opt in via `--verify-ir` / `.verify_ir(true)`.
-            verify_ir: cfg!(debug_assertions),
             trap_checks: false,
         }
     }
@@ -102,13 +98,6 @@ impl Compiler {
     /// Raise the linear heap limit (`cheerp-linear-heap-size`, §3.2).
     pub fn heap_limit(mut self, bytes: u64) -> Self {
         self.heap_limit = Some(bytes);
-        self
-    }
-
-    /// Verify IR invariants between every optimization pass
-    /// (`--verify-ir`). On by default in debug builds.
-    pub fn verify_ir(mut self, on: bool) -> Self {
-        self.verify_ir = on;
         self
     }
 
@@ -144,7 +133,9 @@ impl Compiler {
         target: TargetKind,
     ) -> Result<(HProgram, TransformReport), CompileError> {
         let (mut hir, report) = self.frontend(source)?;
-        if self.verify_ir {
+        // Debug builds verify the IR between every pass; release builds
+        // verify through `run_pipeline_verified` directly (`wb analyze`).
+        if cfg!(debug_assertions) {
             run_pipeline_verified(&mut hir, self.level, target).map_err(|e| {
                 CompileError::Verify {
                     pass: e.pass.to_string(),

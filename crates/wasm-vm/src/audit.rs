@@ -1,14 +1,17 @@
 //! Static cost-equivalence audit of the fusion table.
 //!
-//! PR 2's hard invariant — a fused micro-op charges the **exact same
-//! virtual-cost sequence** as its unfused constituents — is enforced
-//! dynamically by the fused-vs-reference differential tests. This module
-//! turns it into a *statically exhaustive* check: every fused family in
-//! [`fuse`](crate::fuse) is symbolically expanded, for **every** operator
-//! instance it can carry (all 74 [`BinOp`]s, all 46 [`UnOp`]s, all load
-//! and store kinds), and its charge plan is compared event-for-event
-//! against the concatenation of the reference interpreter's plans for the
-//! constituent instructions.
+//! The hard invariant of the fused engine — a fused micro-op charges the
+//! **exact same virtual-cost sequence** as its unfused constituents — is
+//! checked dynamically by the fused-vs-reference differential tests. This
+//! module checks it exhaustively and statically: every fused family in
+//! [`fuse`](crate::fuse) is instantiated for **every** operator it can
+//! carry (all 76 [`BinOp`]s, all 47 [`UnOp`]s, all load and store kinds),
+//! lowered through [`match_fused`], and the lowered op's
+//! [`Mop::shape`] — the same shape `run_body_fused` charges through — is
+//! expanded with the carried operator's `class()`, `arith()` and
+//! `can_trap()`. The expansion is compared event-for-event against the
+//! concatenation of the reference interpreter's plans for the constituent
+//! instructions. No fused plan is written out here.
 //!
 //! A charge plan is the sequence of observable cost events:
 //!
@@ -21,11 +24,10 @@
 //! `exec.rs`). The audit also proves each family's constituents carry no
 //! `TimeBucket` charge and no hotness note (those exist only on
 //! `memory.grow`, calls and loop back-edges, none of which fuse), and
-//! round-trips each instance through [`match_fused`] to confirm the
-//! lowering actually produces the audited family at the audited width.
+//! that the lowering produces the audited family at the audited width.
 
 use crate::classify::{arith_kind, classify, ArithKind};
-use crate::fuse::{match_fused, BinOp, LoadKind, Mop, StoreKind, UnOp};
+use crate::fuse::{match_fused, BinOp, LoadKind, Mop, Part, Shape, StoreKind, UnOp};
 use wb_env::OpClass;
 use wb_wasm::{Instr, MemArg};
 
@@ -68,29 +70,6 @@ impl Ev {
             Ev::Trap => "trap-point".into(),
         }
     }
-}
-
-fn can_trap_bin(op: BinOp) -> bool {
-    use BinOp::*;
-    matches!(
-        op,
-        I32DivS | I32DivU | I32RemS | I32RemU | I64DivS | I64DivU | I64RemS | I64RemU
-    )
-}
-
-fn can_trap_un(un: UnOp) -> bool {
-    use UnOp::*;
-    matches!(
-        un,
-        I32TruncF32S
-            | I32TruncF32U
-            | I32TruncF64S
-            | I32TruncF64U
-            | I64TruncF32S
-            | I64TruncF32U
-            | I64TruncF64S
-            | I64TruncF64U
-    )
 }
 
 /// The source instruction a [`BinOp`] was lifted from. Exhaustive — adding
@@ -430,10 +409,10 @@ const ALL_STORES: [StoreKind; 9] = {
 /// point, after its class/arith bumps).
 fn instr_can_trap(i: &Instr) -> bool {
     if let Some(op) = BinOp::of(i) {
-        return can_trap_bin(op);
+        return op.can_trap();
     }
     if let Some(un) = UnOp::of(i) {
-        return can_trap_un(un);
+        return un.can_trap();
     }
     matches!(classify(i), OpClass::Load | OpClass::Store)
 }
@@ -455,214 +434,54 @@ fn reference_plan(instrs: &[Instr]) -> (u64, Vec<Ev>) {
     (instrs.len() as u64, evs)
 }
 
-/// `bump_bin!` — the fused engine's binop charge: class, then Table 12.
-fn bin_evs(op: BinOp, evs: &mut Vec<Ev>) {
-    evs.push(Ev::Class(op.class()));
-    if let Some(k) = op.arith() {
-        evs.push(Ev::Arith(k));
+/// The carried operator's charge for an `Op` part (class, Table 12 kind)
+/// and whether executing it can trap; `None` if the op carries none.
+fn carried(mop: &Mop) -> Option<(OpClass, Option<ArithKind>, bool)> {
+    use Mop::*;
+    match *mop {
+        LLBin { op, .. }
+        | LLBinSet { op, .. }
+        | LCBin { op, .. }
+        | LCBinSet { op, .. }
+        | LBin { op, .. }
+        | CBin { op, .. }
+        | CBinSet { op, .. }
+        | BinSet { op, .. }
+        | LLCmpBr { op, .. }
+        | LCCmpBr { op, .. }
+        | CmpBr { op, .. } => Some((op.class(), op.arith(), op.can_trap())),
+        LUnBr { un, .. } | UnBr { un, .. } => Some((un.class(), un.arith(), un.can_trap())),
+        _ => None,
     }
-    if can_trap_bin(op) {
+}
+
+/// What `run_body_fused` charges for `mop` through `shape`: the `pre`
+/// parts, a trap point if the last of them can trap (the handler executes
+/// it between `pre` and `post`), then the `post` parts.
+fn shape_plan(shape: &Shape, mop: &Mop) -> Result<Vec<Ev>, String> {
+    let mut evs = Vec::new();
+    let charge = |part: Part, evs: &mut Vec<Ev>| -> Result<bool, String> {
+        if let Some(class) = part.class() {
+            evs.push(Ev::Class(class));
+            return Ok(matches!(part, Part::Load | Part::Store));
+        }
+        let (class, arith, can_trap) =
+            carried(mop).ok_or_else(|| format!("{mop:?} has an Op part but no operator"))?;
+        evs.push(Ev::Class(class));
+        evs.extend(arith.map(Ev::Arith));
+        Ok(can_trap)
+    };
+    let mut traps = false;
+    for &part in shape.pre {
+        traps = charge(part, &mut evs)?;
+    }
+    if traps {
         evs.push(Ev::Trap);
     }
-}
-
-/// The fused engine's charge plan for one micro-op, transcribing the
-/// `run_body_fused` arms in `exec.rs` event-for-event. Singleton micro-ops
-/// return `None` (they are trivially 1:1 with the reference); the match is
-/// deliberately wildcard-free so a new `Mop` variant fails to compile
-/// until the audit covers it.
-fn fused_plan(mop: &Mop) -> Option<(u64, Vec<Ev>)> {
-    use Mop::*;
-    let mut evs = Vec::new();
-    let steps = match mop {
-        // Singletons: one step, one bump, charged exactly like the
-        // reference instruction — nothing to audit.
-        Unreachable
-        | Nop
-        | Block { .. }
-        | Loop { .. }
-        | If { .. }
-        | Else
-        | End
-        | Br(_)
-        | BrIf(_)
-        | BrTable(..)
-        | Return
-        | Call(_)
-        | CallIndirect(_)
-        | Drop
-        | Select
-        | LocalGet(_)
-        | LocalSet(_)
-        | LocalTee(_)
-        | GlobalGet(_)
-        | GlobalSet { .. }
-        | Load { .. }
-        | Store { .. }
-        | MemorySize
-        | MemoryGrow
-        | Const(_)
-        | Un(_)
-        | Bin(_) => return None,
-        LLBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            3
-        }
-        LLBinSet { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            4
-        }
-        LCBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            3
-        }
-        LCBinSet { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            4
-        }
-        LBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            2
-        }
-        CBin { op, .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            2
-        }
-        CBinSet { op, .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            3
-        }
-        BinSet { op, .. } => {
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        LConst { .. } => {
-            evs.push(Ev::Class(OpClass::Const));
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        LocalCopy { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            2
-        }
-        LLCmpBr { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Branch));
-            4
-        }
-        LCCmpBr { op, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Const));
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Branch));
-            4
-        }
-        CmpBr { op, .. } => {
-            bin_evs(*op, &mut evs);
-            evs.push(Ev::Class(OpClass::Branch));
-            2
-        }
-        LUnBr { un, .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(un.class()));
-            if can_trap_un(*un) {
-                evs.push(Ev::Trap);
-            }
-            evs.push(Ev::Class(OpClass::Branch));
-            3
-        }
-        UnBr { un, .. } => {
-            evs.push(Ev::Class(un.class()));
-            if can_trap_un(*un) {
-                evs.push(Ev::Trap);
-            }
-            evs.push(Ev::Class(OpClass::Branch));
-            2
-        }
-        LLoad { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Load));
-            evs.push(Ev::Trap);
-            2
-        }
-        LLStore { .. } => {
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Local));
-            evs.push(Ev::Class(OpClass::Store));
-            evs.push(Ev::Trap);
-            3
-        }
-    };
-    Some((steps, evs))
-}
-
-/// Family name of a fused micro-op (wildcard-free on purpose).
-fn family_of(mop: &Mop) -> &'static str {
-    use Mop::*;
-    match mop {
-        Unreachable
-        | Nop
-        | Block { .. }
-        | Loop { .. }
-        | If { .. }
-        | Else
-        | End
-        | Br(_)
-        | BrIf(_)
-        | BrTable(..)
-        | Return
-        | Call(_)
-        | CallIndirect(_)
-        | Drop
-        | Select
-        | LocalGet(_)
-        | LocalSet(_)
-        | LocalTee(_)
-        | GlobalGet(_)
-        | GlobalSet { .. }
-        | Load { .. }
-        | Store { .. }
-        | MemorySize
-        | MemoryGrow
-        | Const(_)
-        | Un(_)
-        | Bin(_) => "singleton",
-        LLBin { .. } => "LLBin",
-        LLBinSet { .. } => "LLBinSet",
-        LCBin { .. } => "LCBin",
-        LCBinSet { .. } => "LCBinSet",
-        LBin { .. } => "LBin",
-        CBin { .. } => "CBin",
-        CBinSet { .. } => "CBinSet",
-        BinSet { .. } => "BinSet",
-        LConst { .. } => "LConst",
-        LocalCopy { .. } => "LocalCopy",
-        LLCmpBr { .. } => "LLCmpBr",
-        LCCmpBr { .. } => "LCCmpBr",
-        CmpBr { .. } => "CmpBr",
-        LUnBr { .. } => "LUnBr",
-        UnBr { .. } => "UnBr",
-        LLoad { .. } => "LLoad",
-        LLStore { .. } => "LLStore",
+    for &part in shape.post {
+        charge(part, &mut evs)?;
     }
+    Ok(evs)
 }
 
 /// Every (family, constituent-sequence) instance the fusion table can
@@ -754,64 +573,80 @@ fn enumerate_instances() -> Vec<(&'static str, String, Vec<Instr>)> {
 /// Audit every instance of every fused family. An entry is `ok` when
 ///
 /// 1. `match_fused` lowers the constituents to the expected family at the
-///    full width (the step-budget total therefore matches too),
-/// 2. the fused charge plan equals the reference concatenation
-///    event-for-event, and
+///    full width,
+/// 2. the events the handler charges through the op's `Mop::shape()`
+///    equal the reference concatenation event-for-event, and the shape's
+///    width equals the reference step total, and
 /// 3. no constituent carries a `TimeBucket` charge or hotness note.
 pub fn audit_fusion_table() -> Vec<FusionAuditEntry> {
-    let mut entries = Vec::new();
-    for (family, label, constituents) in enumerate_instances() {
-        let mut detail = None;
-        let mut fused_rendered = Vec::new();
-        let (ref_steps, ref_evs) = reference_plan(&constituents);
+    enumerate_instances()
+        .into_iter()
+        .map(|(family, label, constituents)| {
+            audit_instance(family, &label, &constituents, Mop::shape)
+        })
+        .collect()
+}
 
-        // (3) is structural: constituents are locals/consts/ops/branches,
-        // never memory.grow, calls, or loop openers/back-edges.
-        for c in &constituents {
-            if matches!(
-                c,
-                Instr::MemoryGrow | Instr::Call(_) | Instr::CallIndirect(_)
-            ) || matches!(c, Instr::Loop(_) | Instr::Block(_) | Instr::If(_))
-            {
-                detail = Some(format!("constituent {c:?} carries non-class charges"));
-            }
+/// Audit one instance, reading each lowered op's shape through `shape_of`
+/// (`Mop::shape`, or a deliberately wrong map in tests).
+fn audit_instance(
+    family: &'static str,
+    label: &str,
+    constituents: &[Instr],
+    shape_of: fn(&Mop) -> Option<&'static Shape>,
+) -> FusionAuditEntry {
+    let mut detail = None;
+    let mut fused_rendered = Vec::new();
+    let (ref_steps, ref_evs) = reference_plan(constituents);
+
+    // (3) is structural: constituents are locals/consts/ops/branches,
+    // never memory.grow, calls, or loop openers/back-edges.
+    for c in constituents {
+        if matches!(
+            c,
+            Instr::MemoryGrow | Instr::Call(_) | Instr::CallIndirect(_)
+        ) || matches!(c, Instr::Loop(_) | Instr::Block(_) | Instr::If(_))
+        {
+            detail = Some(format!("constituent {c:?} carries non-class charges"));
         }
-
-        match match_fused(&constituents) {
-            Some((mop, len)) if len == constituents.len() && family_of(&mop) == family => {
-                match fused_plan(&mop) {
-                    Some((steps, evs)) => {
-                        fused_rendered = evs.iter().map(Ev::render).collect();
-                        if steps != ref_steps {
-                            detail = Some(format!("step total {steps} != reference {ref_steps}"));
-                        } else if evs != ref_evs {
-                            detail = Some("charge plans differ".into());
-                        }
-                    }
-                    None => detail = Some("fused op lowered to a singleton".into()),
-                }
-            }
-            Some((mop, len)) => {
-                detail = Some(format!(
-                    "lowering mismatch: got {} at width {len}, expected {family} at width {}",
-                    family_of(&mop),
-                    constituents.len()
-                ));
-            }
-            None => detail = Some("constituents did not fuse".into()),
-        }
-
-        entries.push(FusionAuditEntry {
-            family,
-            instance: format!("{family}[{label}]"),
-            constituents: constituents.iter().map(|c| format!("{c:?}")).collect(),
-            fused_charges: fused_rendered,
-            reference_charges: ref_evs.iter().map(Ev::render).collect(),
-            ok: detail.is_none(),
-            detail,
-        });
     }
-    entries
+
+    match match_fused(constituents).map(|(mop, len)| (shape_of(&mop), mop, len)) {
+        Some((Some(shape), mop, len)) if len == constituents.len() && shape.family == family => {
+            match shape_plan(shape, &mop) {
+                Ok(evs) => {
+                    fused_rendered = evs.iter().map(Ev::render).collect();
+                    if evs != ref_evs {
+                        detail = Some("charge plans differ".into());
+                    } else if shape.width() != ref_steps {
+                        detail = Some(format!(
+                            "step total {} != reference {ref_steps}",
+                            shape.width()
+                        ));
+                    }
+                }
+                Err(e) => detail = Some(e),
+            }
+        }
+        Some((shape, _, len)) => {
+            detail = Some(format!(
+                "lowering mismatch: got {} at width {len}, expected {family} at width {}",
+                shape.map_or("singleton", |s| s.family),
+                constituents.len()
+            ));
+        }
+        None => detail = Some("constituents did not fuse".into()),
+    }
+
+    FusionAuditEntry {
+        family,
+        instance: format!("{family}[{label}]"),
+        constituents: constituents.iter().map(|c| format!("{c:?}")).collect(),
+        fused_charges: fused_rendered,
+        reference_charges: ref_evs.iter().map(Ev::render).collect(),
+        ok: detail.is_none(),
+        detail,
+    }
 }
 
 #[cfg(test)]
@@ -890,5 +725,31 @@ mod tests {
             ]
         );
         assert_eq!(div.fused_charges, div.reference_charges);
+    }
+
+    #[test]
+    fn a_shape_missing_its_trailing_local_set_is_caught() {
+        fn truncated(mop: &Mop) -> Option<&'static Shape> {
+            static LLBINSET_NO_SET: Shape = Shape {
+                family: "LLBinSet",
+                pre: &[Part::Local, Part::Local, Part::Op],
+                post: &[],
+            };
+            match mop {
+                Mop::LLBinSet { .. } => Some(&LLBINSET_NO_SET),
+                other => other.shape(),
+            }
+        }
+        let constituents = [
+            Instr::LocalGet(0),
+            Instr::LocalGet(1),
+            Instr::I32Add,
+            Instr::LocalSet(2),
+        ];
+        let good = audit_instance("LLBinSet", "I32Add", &constituents, Mop::shape);
+        assert!(good.ok, "{:?}", good.detail);
+        let bad = audit_instance("LLBinSet", "I32Add", &constituents, truncated);
+        assert!(!bad.ok);
+        assert_eq!(bad.detail.as_deref(), Some("charge plans differ"));
     }
 }

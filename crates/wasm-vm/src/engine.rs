@@ -11,7 +11,7 @@ use wb_env::{
     ArithCounts, CostTable, Nanos, OpCounts, ResourceLimits, TierPolicy, TimeBucket, VirtualClock,
     WasmEngineProfile,
 };
-use wb_wasm::{decode_module, validate, LinearMemory, Module, ValType};
+use wb_wasm::{decode_module, validate, LinearMemory, Module};
 
 /// Configuration of one VM run.
 #[derive(Debug, Clone)]
@@ -405,53 +405,5 @@ impl Instance {
             tier_ups: self.tier_ups,
             context_switches: self.context_switches,
         }
-    }
-
-    /// Look up the numeric value of an exported global (test/IO helper).
-    pub fn exported_global(&self, name: &str) -> Option<Value> {
-        self.prepared
-            .module
-            .exports
-            .iter()
-            .find_map(|e| match e.kind {
-                wb_wasm::ExportKind::Global(i) if e.name == name => {
-                    self.globals.get(i as usize).copied()
-                }
-                _ => None,
-            })
-    }
-
-    /// Read bytes from linear memory (embedder API, like a JS typed-array
-    /// view over `WebAssembly.Memory`).
-    pub fn read_memory(&self, addr: u64, len: usize) -> Result<Vec<u8>, Trap> {
-        let mem = self.memory.as_ref().ok_or(Trap::MemoryOutOfBounds {
-            addr,
-            width: len as u32,
-        })?;
-        mem.read(addr, len as u32)
-            .map(|s| s.to_vec())
-            .map_err(|_| Trap::MemoryOutOfBounds {
-                addr,
-                width: len as u32,
-            })
-    }
-
-    /// Write bytes into linear memory (embedder API).
-    pub fn write_memory(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Trap> {
-        let mem = self.memory.as_mut().ok_or(Trap::MemoryOutOfBounds {
-            addr,
-            width: bytes.len() as u32,
-        })?;
-        mem.write(addr, bytes).map_err(|_| Trap::MemoryOutOfBounds {
-            addr,
-            width: bytes.len() as u32,
-        })
-    }
-
-    /// The function signature of an export, if present.
-    pub fn export_signature(&self, name: &str) -> Option<(Vec<ValType>, Vec<ValType>)> {
-        let idx = self.prepared.module.exported_func(name)?;
-        let ty = self.prepared.module.func_type(idx)?;
-        Some((ty.params.clone(), ty.results.clone()))
     }
 }

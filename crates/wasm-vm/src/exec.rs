@@ -3,15 +3,19 @@
 //! and untagged locals, charging the exact same virtual-cost sequence as
 //! the reference interpreter in `interp.rs`.
 //!
-//! Cost-equivalence contract (checked by the fused-vs-reference
-//! differential tests): for every retired constituent instruction this
-//! engine bumps the same `(tier, OpClass)` counter and the same Table 12
-//! arithmetic counter, in the same order relative to traps and tier-up
-//! points, as the reference path. Values ↔ bits conversion happens only
-//! at call, host and invoke boundaries, where tagged [`Value`]s are the
-//! interface type. The only permitted divergence is *where inside a fused
-//! group* a step-budget exhaustion is detected (the budget is consumed in
-//! one batch); budget-trapped runs are never measured.
+//! Cost-equivalence contract: for every retired constituent instruction
+//! this engine bumps the same `(tier, OpClass)` counter and the same
+//! Table 12 arithmetic counter, in the same order relative to traps and
+//! tier-up points, as the reference path. A fused arm writes none of
+//! those charges itself: it charges through its `Mop::shape()` (the
+//! `fused!` macro), `pre` before the one constituent that can trap and
+//! `post` after it, and `audit.rs` checks every shape against the
+//! reference interpreter. The fused-vs-reference differential tests
+//! check the whole path. Values ↔ bits conversion happens only at call,
+//! host and invoke boundaries, where tagged [`Value`]s are the interface
+//! type. The only permitted divergence is *where inside a fused group* a
+//! step-budget exhaustion is detected (the budget is consumed in one
+//! batch); budget-trapped runs are never measured.
 
 use crate::engine::{Instance, Tier};
 use crate::fuse::{bits_to_value, value_bits, LoadKind, Mop, StoreKind};
@@ -86,6 +90,36 @@ impl Instance {
                 }
             };
         }
+        // Charge shape parts; an `Op` part charges the carried operator
+        // `$op` like `bump_bin!` (a shape without `$op` has no `Op` part).
+        macro_rules! charge {
+            ($parts:expr $(, $op:ident)?) => {
+                for part in $parts {
+                    match part.class() {
+                        Some(class) => bump!(class, 1),
+                        None => {
+                            $(bump_bin!($op);)?
+                        }
+                    }
+                }
+            };
+        }
+        // Run the fused op `$mop`, carrying operator `$op`, through its
+        // `Mop::shape()`: the group's steps up front, `pre`, then `$exec`
+        // (the constituent that can trap), then `post`, which is the
+        // reference interpreter's order. The shape is read before anything
+        // is stored, so the compiler folds it to the arm's constant shape;
+        // `$exec` therefore does its own pops.
+        macro_rules! fused {
+            ($mop:ident $(, $op:ident)? => $exec:expr) => {{
+                let shape = $mop.shape().expect("fused arm: op has a shape");
+                steps!(shape.width());
+                charge!(shape.pre $(, $op)?);
+                let r = $exec;
+                charge!(shape.post $(, $op)?);
+                r
+            }};
+        }
         macro_rules! branch_to {
             ($d:expr) => {{
                 pc = Self::do_branch_fused(self, &mut ctrl, &mut stack, $d, def_index, &mut tier);
@@ -103,7 +137,8 @@ impl Instance {
         }
 
         loop {
-            match &code[pc] {
+            let mop = &code[pc];
+            match mop {
                 // ---- singleton control ---------------------------------
                 Mop::Unreachable => {
                     steps!(1);
@@ -358,150 +393,89 @@ impl Instance {
                 }
 
                 // ---- fused superinstructions ---------------------------
-                // Constituent accounting happens in source order, and the
-                // fusable op's own bump lands *before* its potential trap,
-                // exactly as the reference interpreter would charge it.
                 Mop::LLBin { a, b, op } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 2);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], locals[*b as usize])?;
+                    let r = fused!(mop, op => op.apply(locals[*a as usize], locals[*b as usize])?);
                     stack.push(r);
                 }
                 Mop::LLBinSet { a, b, dst, op } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 2);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], locals[*b as usize])?;
-                    bump!(OpClass::Local, 1);
+                    let r = fused!(mop, op => op.apply(locals[*a as usize], locals[*b as usize])?);
                     locals[*dst as usize] = r;
                 }
                 Mop::LCBin { a, c, op } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], *c)?;
+                    let r = fused!(mop, op => op.apply(locals[*a as usize], *c)?);
                     stack.push(r);
                 }
                 Mop::LCBinSet { a, c, dst, op } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let r = op.apply(locals[*a as usize], *c)?;
-                    bump!(OpClass::Local, 1);
+                    let r = fused!(mop, op => op.apply(locals[*a as usize], *c)?);
                     locals[*dst as usize] = r;
                 }
                 Mop::LBin { b, op } => {
-                    steps!(2);
-                    bump!(OpClass::Local, 1);
-                    bump_bin!(op);
-                    let a = pop!();
-                    stack.push(op.apply(a, locals[*b as usize])?);
+                    let r = fused!(mop, op => op.apply(pop!(), locals[*b as usize])?);
+                    stack.push(r);
                 }
                 Mop::CBin { c, op } => {
-                    steps!(2);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let a = pop!();
-                    stack.push(op.apply(a, *c)?);
+                    let r = fused!(mop, op => op.apply(pop!(), *c)?);
+                    stack.push(r);
                 }
                 Mop::CBinSet { c, dst, op } => {
-                    steps!(3);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let a = pop!();
-                    let r = op.apply(a, *c)?;
-                    bump!(OpClass::Local, 1);
+                    let r = fused!(mop, op => op.apply(pop!(), *c)?);
                     locals[*dst as usize] = r;
                 }
                 Mop::BinSet { dst, op } => {
-                    steps!(2);
-                    bump_bin!(op);
-                    let b = pop!();
-                    let a = pop!();
-                    let r = op.apply(a, b)?;
-                    bump!(OpClass::Local, 1);
+                    let r = fused!(mop, op => {
+                        let b = pop!();
+                        op.apply(pop!(), b)?
+                    });
                     locals[*dst as usize] = r;
                 }
                 Mop::LConst { c, dst } => {
-                    steps!(2);
-                    bump!(OpClass::Const, 1);
-                    bump!(OpClass::Local, 1);
-                    locals[*dst as usize] = *c;
+                    locals[*dst as usize] = fused!(mop => *c);
                 }
                 Mop::LocalCopy { src, dst } => {
-                    steps!(2);
-                    bump!(OpClass::Local, 2);
-                    locals[*dst as usize] = locals[*src as usize];
+                    locals[*dst as usize] = fused!(mop => locals[*src as usize]);
                 }
                 Mop::LLCmpBr { a, b, op, depth } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 2);
-                    bump_bin!(op);
-                    let cond = op.apply(locals[*a as usize], locals[*b as usize])? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
+                    let cond =
+                        fused!(mop, op => op.apply(locals[*a as usize], locals[*b as usize])?);
+                    if cond as u32 != 0 {
                         branch_to!(*depth);
                     }
                 }
                 Mop::LCCmpBr { a, c, op, depth } => {
-                    steps!(4);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Const, 1);
-                    bump_bin!(op);
-                    let cond = op.apply(locals[*a as usize], *c)? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
+                    let cond = fused!(mop, op => op.apply(locals[*a as usize], *c)?);
+                    if cond as u32 != 0 {
                         branch_to!(*depth);
                     }
                 }
                 Mop::CmpBr { op, depth } => {
-                    steps!(2);
-                    bump_bin!(op);
-                    let b = pop!();
-                    let a = pop!();
-                    let cond = op.apply(a, b)? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
+                    let cond = fused!(mop, op => {
+                        let b = pop!();
+                        op.apply(pop!(), b)?
+                    });
+                    if cond as u32 != 0 {
                         branch_to!(*depth);
                     }
                 }
                 Mop::LUnBr { a, un, depth } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 1);
-                    bump!(un.class(), 1);
-                    let cond = un.apply(locals[*a as usize])? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
+                    let cond = fused!(mop, un => un.apply(locals[*a as usize])?);
+                    if cond as u32 != 0 {
                         branch_to!(*depth);
                     }
                 }
                 Mop::UnBr { un, depth } => {
-                    steps!(2);
-                    bump!(un.class(), 1);
-                    let a = pop!();
-                    let cond = un.apply(a)? as u32;
-                    bump!(OpClass::Branch, 1);
-                    if cond != 0 {
+                    let cond = fused!(mop, un => un.apply(pop!())?);
+                    if cond as u32 != 0 {
                         branch_to!(*depth);
                     }
                 }
                 Mop::LLoad { a, kind, offset } => {
-                    steps!(2);
-                    bump!(OpClass::Local, 1);
-                    bump!(OpClass::Load, 1);
                     let addr = (locals[*a as usize] as u32 as u64) + offset;
-                    let v = self.load_u64(*kind, addr)?;
+                    let v = fused!(mop => self.load_u64(*kind, addr)?);
                     stack.push(v);
                 }
                 Mop::LLStore { a, b, kind, offset } => {
-                    steps!(3);
-                    bump!(OpClass::Local, 2);
-                    bump!(OpClass::Store, 1);
                     let addr = (locals[*a as usize] as u32 as u64) + offset;
-                    self.store_u64(*kind, addr, locals[*b as usize])?;
+                    fused!(mop => self.store_u64(*kind, addr, locals[*b as usize])?);
                 }
             }
             pc += 1;

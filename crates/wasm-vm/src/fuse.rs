@@ -27,10 +27,13 @@
 //! A fused op charges the **exact same virtual-cost sequence** as its
 //! unfused constituents: the same per-tier op-class bumps (in the same
 //! order relative to any trap), the same Table 12 arithmetic counts, and
-//! the same step-budget consumption. Tier-up can only happen at function
-//! entry and taken loop back-edges, and no fused group spans either, so
-//! every constituent is charged at the tier the reference interpreter
-//! would have used. See `DESIGN.md` § "Execution engine".
+//! the same step-budget consumption. Each fused family declares its
+//! constituents once, as a [`Shape`] returned by [`Mop::shape`]; the
+//! handler in `exec.rs` charges through it and the auditor in `audit.rs`
+//! expands it against the reference interpreter. Tier-up can only happen
+//! at function entry and taken loop back-edges, and no fused group spans
+//! either, so every constituent is charged at the tier the reference
+//! interpreter would have used. See `DESIGN.md` §7.
 
 use crate::classify::ArithKind;
 use crate::prep::{SideTable, NO_PC};
@@ -344,6 +347,15 @@ impl BinOp {
         })
     }
 
+    /// Whether [`BinOp::apply`] can trap (integer division and remainder).
+    pub(crate) fn can_trap(self) -> bool {
+        use BinOp::*;
+        matches!(
+            self,
+            I32DivS | I32DivU | I32RemS | I32RemU | I64DivS | I64DivU | I64RemS | I64RemU
+        )
+    }
+
     /// Whether the result is an i32 — a prerequisite for fusing with a
     /// following `br_if` (which consumes an i32 condition).
     #[inline]
@@ -643,6 +655,29 @@ impl UnOp {
             F32Sqrt | F64Sqrt => OpClass::FloatDiv,
             _ => OpClass::Convert,
         }
+    }
+
+    /// Whether [`UnOp::apply`] can trap (float-to-int truncation).
+    pub(crate) fn can_trap(self) -> bool {
+        use UnOp::*;
+        matches!(
+            self,
+            I32TruncF32S
+                | I32TruncF32U
+                | I32TruncF64S
+                | I32TruncF64U
+                | I64TruncF32S
+                | I64TruncF32U
+                | I64TruncF64S
+                | I64TruncF64U
+        )
+    }
+
+    /// Table 12 arithmetic kind: always `None`, Table 12 counts binary
+    /// operators only (as `arith_kind` on the source instr).
+    #[inline]
+    pub(crate) fn arith(self) -> Option<ArithKind> {
+        None
     }
 
     /// Whether the result is an i32 (can feed a fused `br_if`).
@@ -1011,26 +1046,123 @@ pub(crate) enum Mop {
     },
 }
 
-impl Mop {
-    /// Number of source instructions this micro-op retires (its
-    /// step-budget consumption and constituent count). The interpreter
-    /// arms inline these widths; tests use this to check they agree with
-    /// the source body.
-    #[allow(dead_code)]
+/// One constituent of a fused micro-op, as the cost model charges it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Part {
+    /// `local.get` or `local.set`: class `Local`.
+    Local,
+    /// A `*.const`: class `Const`.
+    Const,
+    /// The carried [`BinOp`] or [`UnOp`]: its `class()` and `arith()`.
+    Op,
+    /// `br_if`: class `Branch`.
+    Branch,
+    /// A load: class `Load`.
+    Load,
+    /// A store: class `Store`.
+    Store,
+}
+
+impl Part {
+    /// The op class a fixed part charges; `None` for [`Part::Op`], which
+    /// charges its carried operator's.
+    #[inline(always)]
+    pub(crate) fn class(self) -> Option<OpClass> {
+        Some(match self {
+            Part::Local => OpClass::Local,
+            Part::Const => OpClass::Const,
+            Part::Op => return None,
+            Part::Branch => OpClass::Branch,
+            Part::Load => OpClass::Load,
+            Part::Store => OpClass::Store,
+        })
+    }
+}
+
+/// A fused family's constituents in source order, split at the trap
+/// point: `pre` runs up to and including the one constituent that can
+/// trap (the last of `pre`), `post` is the rest. The handler in `exec.rs`
+/// charges `pre`, executes that constituent, then charges `post`; the
+/// auditor expands the same shape against the reference interpreter.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// Family name, as the auditor reports it.
+    pub(crate) family: &'static str,
+    /// Charged before the fallible constituent executes.
+    pub(crate) pre: &'static [Part],
+    /// Charged after it.
+    pub(crate) post: &'static [Part],
+}
+
+impl Shape {
+    /// Source instructions retired: the step-budget charge.
+    #[inline(always)]
     pub(crate) fn width(&self) -> u64 {
+        (self.pre.len() + self.post.len()) as u64
+    }
+}
+
+impl Mop {
+    /// The charge shape of a fused micro-op; `None` for singletons, which
+    /// charge like their one reference instruction. Wildcard-free, so a
+    /// new variant fails to compile until it declares its shape.
+    #[inline(always)]
+    pub(crate) fn shape(&self) -> Option<&'static Shape> {
         use Mop::*;
+        macro_rules! shape {
+            ($family:literal, [$($pre:ident),*], [$($post:ident),*]) => {
+                Some(&Shape {
+                    family: $family,
+                    pre: &[$(Part::$pre),*],
+                    post: &[$(Part::$post),*],
+                })
+            };
+        }
         match self {
-            LLBinSet { .. } | LCBinSet { .. } | LLCmpBr { .. } | LCCmpBr { .. } => 4,
-            LLBin { .. } | LCBin { .. } | CBinSet { .. } | LUnBr { .. } | LLStore { .. } => 3,
-            LBin { .. }
-            | CBin { .. }
-            | BinSet { .. }
-            | LConst { .. }
-            | LocalCopy { .. }
-            | CmpBr { .. }
-            | UnBr { .. }
-            | LLoad { .. } => 2,
-            _ => 1,
+            Unreachable
+            | Nop
+            | Block { .. }
+            | Loop { .. }
+            | If { .. }
+            | Else
+            | End
+            | Br(_)
+            | BrIf(_)
+            | BrTable(..)
+            | Return
+            | Call(_)
+            | CallIndirect(_)
+            | Drop
+            | Select
+            | LocalGet(_)
+            | LocalSet(_)
+            | LocalTee(_)
+            | GlobalGet(_)
+            | GlobalSet { .. }
+            | Load { .. }
+            | Store { .. }
+            | MemorySize
+            | MemoryGrow
+            | Const(_)
+            | Un(_)
+            | Bin(_) => None,
+            LLBin { .. } => shape!("LLBin", [Local, Local, Op], []),
+            LLBinSet { .. } => shape!("LLBinSet", [Local, Local, Op], [Local]),
+            LCBin { .. } => shape!("LCBin", [Local, Const, Op], []),
+            LCBinSet { .. } => shape!("LCBinSet", [Local, Const, Op], [Local]),
+            LBin { .. } => shape!("LBin", [Local, Op], []),
+            CBin { .. } => shape!("CBin", [Const, Op], []),
+            CBinSet { .. } => shape!("CBinSet", [Const, Op], [Local]),
+            BinSet { .. } => shape!("BinSet", [Op], [Local]),
+            LConst { .. } => shape!("LConst", [Const, Local], []),
+            LocalCopy { .. } => shape!("LocalCopy", [Local, Local], []),
+            LLCmpBr { .. } => shape!("LLCmpBr", [Local, Local, Op], [Branch]),
+            LCCmpBr { .. } => shape!("LCCmpBr", [Local, Const, Op], [Branch]),
+            CmpBr { .. } => shape!("CmpBr", [Op], [Branch]),
+            LUnBr { .. } => shape!("LUnBr", [Local, Op], [Branch]),
+            UnBr { .. } => shape!("UnBr", [Op], [Branch]),
+            LLoad { .. } => shape!("LLoad", [Local, Load], []),
+            LLStore { .. } => shape!("LLStore", [Local, Local, Store], []),
         }
     }
 }
@@ -1507,6 +1639,7 @@ mod tests {
         ];
         let n = body.len() as u64;
         let f = lower_body(body);
-        assert_eq!(f.code.iter().map(|m| m.width()).sum::<u64>(), n);
+        let width = |m: &Mop| m.shape().map_or(1, Shape::width);
+        assert_eq!(f.code.iter().map(width).sum::<u64>(), n);
     }
 }
